@@ -29,7 +29,6 @@ from .geometry import (
     DeviceGeometry,
     calibrate_coupling_constant,
     coupling_capacitance,
-    disc_self_capacitance,
     ground_to_body_capacitance,
     plate_to_plate_capacitance,
     return_path_capacitance,
@@ -114,7 +113,6 @@ __all__ = [
     "compare_closed_forms",
     "coupling_capacitance",
     "default_frequency_grid",
-    "disc_self_capacitance",
     "effective_coupling_capacitance",
     "emit_csv",
     "extract_body_capacitance",

@@ -33,7 +33,6 @@ Example (geometric form)::
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import math
 import os
 import warnings
@@ -58,7 +57,7 @@ from .resonance import (
     DielectricTable,
     body_capacitance_lookup,
 )
-from .transfer import ChannelScenario, GeometricProvenance
+from .transfer import ChannelScenario, GeometricProvenance, relative_error
 
 DEFAULT_FREQUENCY_HZ = 1e5
 
@@ -83,7 +82,6 @@ class SideConfig:
 
     radius_m: float | None = None
     plate_separation_m: float | None = None
-    disc_height_m: float = 0.0
     shadowing_x: float | None = None
     position_s: float | None = None
     return_path_f: float | None = None
@@ -145,8 +143,7 @@ class ParsedConfig:
 
 
 _SIDE_KEYS = {
-    "radius_m", "plate_separation_m", "disc_height_m", "shadowing_x",
-    "position_s", "return_path_f",
+    "radius_m", "plate_separation_m", "shadowing_x", "position_s", "return_path_f",
 }
 _RX_ONLY_KEYS = {"fringe_f", "ground_body_f", "load_f"}
 _ALLOWED_KEYS = {
@@ -166,11 +163,22 @@ _ALLOWED_KEYS = {
 }
 
 
+# Keys whose values are not floats; every other key parses as a float.
+_TEXT_KEYS = {"dielectric_table", "segment", "kind"}
+_INT_KEYS = {"steps", "points"}
+# [sweep] keys whose SweepSection field has another name.
+_FIELD_OF_KEY = {"min": "start", "max": "stop"}
+_REQUIRED_KEYS = {"sweep": ("kind", "min", "max", "steps"), "resonance": ("inductance_h",)}
+
+
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+    return value
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:
@@ -201,8 +209,20 @@ def _parse_anchors(section: str, raw: str) -> tuple[tuple[float, float], ...]:
     return tuple(anchors)
 
 
+def _parse_value(section: str, key: str, raw: str):
+    if key in _TEXT_KEYS:
+        return raw
+    if key in _INT_KEYS:
+        return _parse_int(section, key, raw)
+    if key == "shadowing_anchors":
+        return _parse_anchors(section, raw)
+    return _parse_float(section, key, raw)
+
+
 def load_config_file(path: str | Path) -> ParsedConfig:
     """Parse a config file into raw sections (no scenario assembly yet).
+
+    Keys left out take the defaults of the dataclass field they fill.
 
     Raises:
         ConfigError: On unknown sections/keys or malformed values.
@@ -217,7 +237,7 @@ def load_config_file(path: str | Path) -> ParsedConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    sections: dict[str, dict[str, str]] = {}
+    fields: dict[str, dict[str, object]] = {}
     for section in parser.sections():
         if section not in _ALLOWED_KEYS:
             raise ConfigError(
@@ -231,24 +251,24 @@ def load_config_file(path: str | Path) -> ParsedConfig:
                 f"{path}: unknown key(s) {sorted(unknown)} in [{section}] "
                 f"(allowed: {sorted(_ALLOWED_KEYS[section])})"
             )
-        sections[section] = keys
+        for key in _REQUIRED_KEYS.get(section, ()):
+            if key not in keys:
+                raise ConfigError(f"[{section}] missing required key {key!r}")
+        fields[section] = {
+            _FIELD_OF_KEY.get(key, key): _parse_value(section, key, raw)
+            for key, raw in keys.items()
+        }
 
-    def side(section: str) -> SideConfig:
-        keys = sections.get(section, {})
-        values: dict[str, float] = {}
-        for key, raw in keys.items():
-            values[key] = _parse_float(section, key, raw)
-        return SideConfig(**values)
-
-    body = sections.get("body", {})
-    link = sections.get("link", {})
-    channel = sections.get("channel", {})
-
-    frequency = DEFAULT_FREQUENCY_HZ
-    if "frequency_hz" in channel:
-        frequency = _parse_float("channel", "frequency_hz", channel["frequency_hz"])
-        if frequency <= 0:
-            raise ConfigError(f"[channel] frequency_hz must be positive, got {frequency}")
+    # [body], [link] and [channel] keys are ScenarioConfig fields.
+    scenario = ScenarioConfig(
+        tx=SideConfig(**fields.get("tx", {})),
+        rx=SideConfig(**fields.get("rx", {})),
+        **fields.get("body", {}), **fields.get("link", {}), **fields.get("channel", {}),
+        base_dir=path.parent,
+    )
+    frequency = scenario.frequency_hz
+    if frequency <= 0:
+        raise ConfigError(f"[channel] frequency_hz must be positive, got {frequency}")
     if frequency > EQS_MAX_FREQUENCY_HZ:
         warnings.warn(
             f"configured frequency {frequency:.6g} Hz exceeds the "
@@ -259,74 +279,8 @@ def load_config_file(path: str | Path) -> ParsedConfig:
             stacklevel=2,
         )
 
-    scenario = ScenarioConfig(
-        tx=side("tx"),
-        rx=side("rx"),
-        c_b_f=_parse_float("body", "c_b_f", body["c_b_f"]) if "c_b_f" in body else None,
-        dielectric_thickness_m=(
-            _parse_float("body", "dielectric_thickness_m", body["dielectric_thickness_m"])
-            if "dielectric_thickness_m" in body else None
-        ),
-        dielectric_table=body.get("dielectric_table"),
-        segment=body.get("segment"),
-        shadowing_anchors=(
-            _parse_anchors("body", body["shadowing_anchors"])
-            if "shadowing_anchors" in body else None
-        ),
-        segment_length_m=(
-            _parse_float("body", "segment_length_m", body["segment_length_m"])
-            if "segment_length_m" in body else None
-        ),
-        coupling_f=_parse_float("link", "coupling_f", link["coupling_f"]) if "coupling_f" in link else None,
-        k_f_per_m=_parse_float("link", "k_f_per_m", link["k_f_per_m"]) if "k_f_per_m" in link else None,
-        separation_m=_parse_float("link", "separation_m", link["separation_m"]) if "separation_m" in link else None,
-        decouple_m=(
-            _parse_float("link", "decouple_m", link["decouple_m"])
-            if "decouple_m" in link else DECOUPLING_DISTANCE_M
-        ),
-        frequency_hz=frequency,
-        base_dir=path.parent,
-    )
-
-    sweep = None
-    if "sweep" in sections:
-        raw = sections["sweep"]
-        for key in ("kind", "min", "max", "steps"):
-            if key not in raw:
-                raise ConfigError(f"[sweep] missing required key {key!r}")
-        sweep = SweepSection(
-            kind=raw["kind"].strip(),
-            start=_parse_float("sweep", "min", raw["min"]),
-            stop=_parse_float("sweep", "max", raw["max"]),
-            steps=_parse_int("sweep", "steps", raw["steps"]),
-        )
-
-    resonance = None
-    if "resonance" in sections:
-        raw = sections["resonance"]
-        if "inductance_h" not in raw:
-            raise ConfigError("[resonance] missing required key 'inductance_h'")
-        resonance = ResonanceSection(
-            inductance_h=_parse_float("resonance", "inductance_h", raw["inductance_h"]),
-            series_resistance_ohm=(
-                _parse_float("resonance", "series_resistance_ohm", raw["series_resistance_ohm"])
-                if "series_resistance_ohm" in raw else DEFAULT_SERIES_RESISTANCE_OHM
-            ),
-            capacitance_f=(
-                _parse_float("resonance", "capacitance_f", raw["capacitance_f"])
-                if "capacitance_f" in raw else None
-            ),
-            f_min_hz=(
-                _parse_float("resonance", "f_min_hz", raw["f_min_hz"])
-                if "f_min_hz" in raw else DEFAULT_GRID_MIN_HZ
-            ),
-            f_max_hz=(
-                _parse_float("resonance", "f_max_hz", raw["f_max_hz"])
-                if "f_max_hz" in raw else DEFAULT_GRID_MAX_HZ
-            ),
-            points=_parse_int("resonance", "points", raw["points"]) if "points" in raw else DEFAULT_GRID_POINTS,
-        )
-
+    sweep = SweepSection(**fields["sweep"]) if "sweep" in fields else None
+    resonance = ResonanceSection(**fields["resonance"]) if "resonance" in fields else None
     return ParsedConfig(path=path, scenario=scenario, sweep=sweep, resonance=resonance)
 
 
@@ -366,13 +320,29 @@ def load_dielectric_table(scenario: ScenarioConfig) -> DielectricTable:
     )
 
 
-def _check_consistency(name: str, direct: float, derived: float) -> None:
-    scale = max(abs(direct), abs(derived))
-    if scale > 0 and abs(direct - derived) > CONSISTENCY_REL_TOL * scale:
-        raise ConfigError(
-            f"{name}: direct value {direct:.12g} disagrees with its geometric "
-            f"derivation {derived:.12g} (more than {CONSISTENCY_REL_TOL:g} relative)"
-        )
+def _pick(
+    name: str, direct: float | None, derived: float | None, missing: str | None
+) -> float | None:
+    """The direct-or-derived rule that every channel quantity follows.
+
+    A derived value is the one kept; a direct value given beside it must agree
+    with it to ``CONSISTENCY_REL_TOL`` relative.  A direct value alone is kept
+    as given.  With neither, the ``missing`` message is raised, or ``None`` is
+    returned when ``missing`` is ``None`` (an optional quantity).
+
+    Raises:
+        ConfigError: On disagreement, or on a missing required quantity.
+    """
+    if derived is not None:
+        if direct is not None and relative_error(direct, derived) > CONSISTENCY_REL_TOL:
+            raise ConfigError(
+                f"{name}: direct value {direct:.12g} disagrees with its geometric "
+                f"derivation {derived:.12g} (more than {CONSISTENCY_REL_TOL:g} relative)"
+            )
+        return derived
+    if direct is None and missing is not None:
+        raise ConfigError(missing)
+    return direct
 
 
 def _device_geometry(side: SideConfig, name: str) -> DeviceGeometry | None:
@@ -384,30 +354,22 @@ def _device_geometry(side: SideConfig, name: str) -> DeviceGeometry | None:
             "(required alongside radius_m)"
         )
     try:
-        return DeviceGeometry(side.radius_m, side.plate_separation_m, side.disc_height_m)
+        return DeviceGeometry(side.radius_m, side.plate_separation_m)
     except ValueError as exc:
         raise ConfigError(f"[{name}] {exc}") from exc
 
 
 def _shadowing(side: SideConfig, name: str, profile: ShadowingProfile | None) -> float | None:
-    """Resolve the shadowing fraction: direct value, profile lookup, or both
-    (consistency-checked)."""
+    """Shadowing fraction: direct value, profile lookup, or both (checked)."""
     from_profile = None
     if side.position_s is not None and profile is not None:
         try:
             from_profile = shadowing_factor(side.position_s, profile)
         except ValueError as exc:
             raise ConfigError(f"[{name}] position_s: {exc}") from exc
-    if side.shadowing_x is not None:
-        if not (0.0 < side.shadowing_x <= 1.0):
-            raise ConfigError(
-                f"[{name}] shadowing_x must be in (0, 1], got {side.shadowing_x}"
-            )
-        if from_profile is not None:
-            _check_consistency(f"[{name}] shadowing_x", side.shadowing_x, from_profile)
-            return from_profile
-        return side.shadowing_x
-    return from_profile
+    if side.shadowing_x is not None and not (0.0 < side.shadowing_x <= 1.0):
+        raise ConfigError(f"[{name}] shadowing_x must be in (0, 1], got {side.shadowing_x}")
+    return _pick(f"[{name}] shadowing_x", side.shadowing_x, from_profile, None)
 
 
 def _resolve_separation(config: ScenarioConfig) -> float | None:
@@ -426,16 +388,9 @@ def _resolve_separation(config: ScenarioConfig) -> float | None:
                 f"tx and rx positions coincide (position_s = {tx_s:g}); "
                 "device separation would be zero"
             )
-    if config.separation_m is not None:
-        if config.separation_m <= 0:
-            raise ConfigError(
-                f"[link] separation_m must be positive, got {config.separation_m}"
-            )
-        if derived is not None:
-            _check_consistency("[link] separation_m", config.separation_m, derived)
-            return derived
-        return config.separation_m
-    return derived
+    if config.separation_m is not None and config.separation_m <= 0:
+        raise ConfigError(f"[link] separation_m must be positive, got {config.separation_m}")
+    return _pick("[link] separation_m", config.separation_m, derived, None)
 
 
 def effective_coupling_capacitance(
@@ -453,15 +408,21 @@ def effective_coupling_capacitance(
     return coupling_capacitance(geom, d, k)
 
 
-def build_scenario(config: ScenarioConfig) -> ChannelScenario:
+def build_scenario(
+    config: ScenarioConfig, table: DielectricTable | None = None
+) -> ChannelScenario:
     """Assemble a :class:`ChannelScenario` from raw config inputs.
 
-    Every capacitance may come directly or from geometry; whichever route is
-    used is recorded as provenance on the scenario.
+    Every capacitance may come directly or from geometry (see :func:`_pick`);
+    the geometric inputs used are recorded as provenance on the scenario.
+    ``table`` is the dielectric table ``config`` names, passed by callers that
+    build many scenarios from one config; by default it is loaded on demand.
 
     Raises:
         ConfigError: Naming the missing or inconsistent field.
     """
+    if not config.decouple_m > 0:
+        raise ConfigError(f"[link] decouple_m must be positive, got {config.decouple_m}")
     profile = config.profile()
     tx_geom = _device_geometry(config.tx, "tx")
     rx_geom = _device_geometry(config.rx, "rx")
@@ -471,71 +432,45 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
     def resolve_return_path(
         side: SideConfig, geom: DeviceGeometry | None, x: float | None, name: str
     ) -> float:
-        derived = None
-        if geom is not None and x is not None:
-            derived = return_path_capacitance(geom, x)
-        if side.return_path_f is not None:
-            if derived is not None:
-                _check_consistency(f"[{name}] return_path_f", side.return_path_f, derived)
-                return derived
-            return side.return_path_f
-        if derived is None:
-            raise ConfigError(
-                f"missing required parameter: [{name}] return_path_f, or radius_m "
-                "plus shadowing_x/position_s to derive it"
-            )
-        return derived
+        derived = None if geom is None or x is None else return_path_capacitance(geom, x)
+        return _pick(
+            f"[{name}] return_path_f", side.return_path_f, derived,
+            f"missing required parameter: [{name}] return_path_f, or radius_m "
+            "plus shadowing_x/position_s to derive it",
+        )
 
     c_x_tx = resolve_return_path(config.tx, tx_geom, x_tx, "tx")
     c_x_rx = resolve_return_path(config.rx, rx_geom, x_rx, "rx")
 
     # Ground-to-body capacitance of the receiver.
+    c_f = config.rx.fringe_f
+    if c_f is not None and c_f < 0:
+        raise ConfigError(f"[rx] fringe_f must be nonnegative, got {c_f}")
     derived_gb = None
-    if rx_geom is not None and config.rx.fringe_f is not None:
-        if config.rx.fringe_f < 0:
-            raise ConfigError(f"[rx] fringe_f must be nonnegative, got {config.rx.fringe_f}")
-        derived_gb = ground_to_body_capacitance(
-            plate_to_plate_capacitance(rx_geom), config.rx.fringe_f
-        )
-    if config.rx.ground_body_f is not None:
-        if derived_gb is not None:
-            _check_consistency("[rx] ground_body_f", config.rx.ground_body_f, derived_gb)
-            c_gb_rx = derived_gb
-        else:
-            c_gb_rx = config.rx.ground_body_f
-    elif derived_gb is not None:
-        c_gb_rx = derived_gb
-    else:
-        raise ConfigError(
-            "missing required parameter: [rx] ground_body_f, or radius_m plus "
-            "plate_separation_m and fringe_f to derive it"
-        )
+    if rx_geom is not None and c_f is not None:
+        derived_gb = ground_to_body_capacitance(plate_to_plate_capacitance(rx_geom), c_f)
+    c_gb_rx = _pick(
+        "[rx] ground_body_f", config.rx.ground_body_f, derived_gb,
+        "missing required parameter: [rx] ground_body_f, or radius_m plus "
+        "plate_separation_m and fringe_f to derive it",
+    )
 
-    if config.rx.load_f is None:
-        raise ConfigError("missing required parameter: [rx] load_f")
-    c_l = config.rx.load_f
+    c_l = _pick("[rx] load_f", config.rx.load_f, None, "missing required parameter: [rx] load_f")
 
     # Body capacitance: direct or via the dielectric-thickness table.
     derived_cb = None
     if config.dielectric_thickness_m is not None:
-        table = load_dielectric_table(config)
+        if table is None:
+            table = load_dielectric_table(config)
         try:
             derived_cb = body_capacitance_lookup(config.dielectric_thickness_m, table)
         except ValueError as exc:
             raise ConfigError(f"[body] dielectric_thickness_m: {exc}") from exc
-    if config.c_b_f is not None:
-        if derived_cb is not None:
-            _check_consistency("[body] c_b_f", config.c_b_f, derived_cb)
-            c_b = derived_cb
-        else:
-            c_b = config.c_b_f
-    elif derived_cb is not None:
-        c_b = derived_cb
-    else:
-        raise ConfigError(
-            "missing required parameter: [body] c_b_f, or dielectric_thickness_m "
-            "plus dielectric_table to derive it"
-        )
+    c_b = _pick(
+        "[body] c_b_f", config.c_b_f, derived_cb,
+        "missing required parameter: [body] c_b_f, or dielectric_thickness_m "
+        "plus dielectric_table to derive it",
+    )
 
     # Inter-device coupling: direct, or the shielded near-field law.
     separation = _resolve_separation(config)
@@ -548,54 +483,29 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
                 "coupling capacitance plate area)"
             )
         derived_cc = effective_coupling_capacitance(tx_geom, separation, k, config.decouple_m)
-    if config.coupling_f is not None:
-        if config.coupling_f < 0:
-            raise ConfigError(f"[link] coupling_f must be nonnegative, got {config.coupling_f}")
-        if derived_cc is not None:
-            _check_consistency("[link] coupling_f", config.coupling_f, derived_cc)
-            c_c = derived_cc
-        else:
-            c_c = config.coupling_f
-    elif derived_cc is not None:
-        c_c = derived_cc
-    else:
-        raise ConfigError(
-            "missing required parameter: [link] coupling_f, or k_f_per_m plus a "
-            "separation (separation_m or device positions) to derive it"
-        )
-
-    provenance = GeometricProvenance(
-        tx_geom=tx_geom,
-        rx_geom=rx_geom,
-        x_tx=x_tx,
-        x_rx=x_rx,
-        c_f=config.rx.fringe_f,
-        d=separation if derived_cc is not None else None,
-        k=k if derived_cc is not None else None,
-        decouple_m=config.decouple_m if derived_cc is not None else None,
+    if config.coupling_f is not None and config.coupling_f < 0:
+        raise ConfigError(f"[link] coupling_f must be nonnegative, got {config.coupling_f}")
+    c_c = _pick(
+        "[link] coupling_f", config.coupling_f, derived_cc,
+        "missing required parameter: [link] coupling_f, or k_f_per_m plus a "
+        "separation (separation_m or device positions) to derive it",
     )
-    if all(
-        value is None
-        for value in (tx_geom, rx_geom, x_tx, x_rx, config.rx.fringe_f, provenance.d)
-    ):
+
+    # d and k describe c_c only where the near-field law produced it; beyond
+    # decouple_m the coupling is zero and no geometric coupled form applies.
+    near_field = derived_cc is not None and derived_cc > 0.0
+    provenance = GeometricProvenance(
+        tx_geom=tx_geom, rx_geom=rx_geom, x_tx=x_tx, x_rx=x_rx, c_f=c_f,
+        d=separation if near_field else None,
+        k=k if near_field else None,
+    )
+    if provenance == GeometricProvenance():
         provenance = None
 
     try:
-        scenario = ChannelScenario(
+        return ChannelScenario(
             c_x_tx=c_x_tx, c_x_rx=c_x_rx, c_gb_rx=c_gb_rx, c_l=c_l, c_b=c_b,
             c_c=c_c, provenance=provenance,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    scenario.validate_provenance()
-    return scenario
-
-
-def with_override(config: ScenarioConfig, **changes) -> ScenarioConfig:
-    """Functional update helper for sweep stepping."""
-    return dataclasses.replace(config, **changes)
-
-
-def with_side_override(config: ScenarioConfig, side: str, **changes) -> ScenarioConfig:
-    current = getattr(config, side)
-    return dataclasses.replace(config, **{side: dataclasses.replace(current, **changes)})

@@ -3,9 +3,8 @@
 Every lumped capacitance of the channel model is computed here from device
 geometry, position and calibration constants:
 
-* self capacitance of a conducting disc (with empirical thickness correction),
 * parallel-plate capacitance between a device's signal and ground plates,
-* return-path capacitance as a body-shadowing fraction of the disc value,
+* return-path capacitance as a body-shadowing fraction of the thin-disc 8*eps0*a,
 * near-field coupling capacitance between two device ground plates,
 * ground-to-body capacitance as plate-to-plate plus fringe contribution.
 
@@ -29,21 +28,16 @@ class DeviceGeometry:
     Attributes:
         radius_a: Disc radius in m.
         thickness_t: Signal-plate to ground-plate separation in m.
-        disc_height_h: Disc thickness in m used by the self-capacitance
-            correction term; 0 selects the thin-disc limit.
     """
 
     radius_a: float
     thickness_t: float
-    disc_height_h: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.radius_a > 0 and math.isfinite(self.radius_a)):
             raise ValueError(f"radius_a must be positive, got {self.radius_a}")
         if not (self.thickness_t > 0 and math.isfinite(self.thickness_t)):
             raise ValueError(f"thickness_t must be positive, got {self.thickness_t}")
-        if not (self.disc_height_h >= 0 and math.isfinite(self.disc_height_h)):
-            raise ValueError(f"disc_height_h must be >= 0, got {self.disc_height_h}")
 
     @property
     def plate_area(self) -> float:
@@ -73,24 +67,6 @@ def _validated_capacitance(value: float, context: str) -> float:
     if 0 < value < sys.float_info.min:
         return 0.0
     return value
-
-
-def disc_self_capacitance(geom: DeviceGeometry) -> float:
-    """Self capacitance of a conducting disc, F.
-
-    Uses the standard 8*eps0*a thin-disc value with an empirical correction
-    for finite disc thickness h::
-
-        C = 8*eps0*a * (1 + 0.87*(h/(2a))**0.76)
-
-    For ``disc_height_h == 0`` this returns exactly ``8*eps0*a``.
-    """
-    a, h = geom.radius_a, geom.disc_height_h
-    thin = 8.0 * EPSILON_0 * a
-    if h == 0.0:
-        return _validated_capacitance(thin, "disc_self_capacitance")
-    value = thin * (1.0 + 0.87 * (h / (2.0 * a)) ** 0.76)
-    return _validated_capacitance(value, "disc_self_capacitance")
 
 
 def plate_to_plate_capacitance(geom: DeviceGeometry) -> float:

@@ -12,35 +12,58 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ConfigError,
-    ScenarioConfig,
-    build_scenario,
-    with_override,
-    with_side_override,
-)
+from .config import ConfigError, ScenarioConfig, build_scenario, load_dielectric_table
 from .network import build_channel_network, solve_transfer
-from .transfer import (
-    ChannelScenario,
-    full_transfer,
-    ratio_to_db,
-    regime_flags,
-    relative_error,
+from .transfer import full_transfer, ratio_to_db, regime_flags, relative_error
+
+
+def _both_radii(config: ScenarioConfig, radius: float) -> ScenarioConfig:
+    return replace(
+        config, tx=replace(config.tx, radius_m=radius), rx=replace(config.rx, radius_m=radius)
+    )
+
+
+_RADIUS_PINS = (
+    "[tx] radius_m", "[rx] radius_m", "[tx] return_path_f", "[rx] return_path_f",
+    "[rx] ground_body_f",
 )
 
-SWEPT_COLUMN = {
-    "separation": "separation_m",
-    "radius": "radius_m",
-    "device_area": "area_m2",
-    "tx_position": "tx_position_s",
-    "rx_position": "rx_position_s",
-    "dielectric_thickness": "dielectric_thickness_m",
+# Sweep kind -> (CSV column of the swept value, the base config with the
+# swept value set, config keys that fix the swept value or a value derived
+# from it when set; "a + b" pins only when both keys are set).
+SWEEP_KINDS = {
+    "separation": (
+        "separation_m",
+        lambda c, d: replace(c, separation_m=d),
+        ("[link] separation_m", "[link] coupling_f", "[tx] position_s + [rx] position_s"),
+    ),
+    "radius": ("radius_m", _both_radii, _RADIUS_PINS),
+    "device_area": (
+        "area_m2", lambda c, area: _both_radii(c, math.sqrt(area / math.pi)), _RADIUS_PINS
+    ),
+    "tx_position": (
+        "tx_position_s",
+        lambda c, s: replace(c, tx=replace(c.tx, position_s=s)),
+        ("[tx] position_s", "[tx] shadowing_x", "[tx] return_path_f"),
+    ),
+    "rx_position": (
+        "rx_position_s",
+        lambda c, s: replace(c, rx=replace(c.rx, position_s=s)),
+        ("[rx] position_s", "[rx] shadowing_x", "[rx] return_path_f"),
+    ),
+    "dielectric_thickness": (
+        "dielectric_thickness_m",
+        lambda c, t: replace(c, dielectric_thickness_m=t),
+        ("[body] c_b_f", "[body] dielectric_thickness_m"),
+    ),
 }
+
+SWEPT_COLUMN = {kind: column for kind, (column, _, _) in SWEEP_KINDS.items()}
 
 _CAP_COLUMNS = ("c_x_tx_f", "c_x_rx_f", "c_gb_rx_f", "c_l_f", "c_b_f", "c_c_f")
 _ORACLE_COLUMNS = ("oracle_ratio", "oracle_rel_error")
@@ -86,44 +109,14 @@ class SweepResult:
         return np.array([getattr(r, attribute) for r in self.rows])
 
 
-def _conflicting_keys(kind: str, base: ScenarioConfig) -> list[str]:
-    """Keys that pin the swept parameter (or a value derived from it)."""
-    conflicts: list[tuple[str, bool]] = []
-    if kind == "separation":
-        conflicts = [
-            ("[link] separation_m", base.separation_m is not None),
-            ("[link] coupling_f", base.coupling_f is not None),
-            (
-                "[tx]/[rx] position_s (fixes the separation)",
-                base.tx.position_s is not None and base.rx.position_s is not None,
-            ),
-        ]
-    elif kind in ("radius", "device_area"):
-        conflicts = [
-            ("[tx] radius_m", base.tx.radius_m is not None),
-            ("[rx] radius_m", base.rx.radius_m is not None),
-            ("[tx] return_path_f", base.tx.return_path_f is not None),
-            ("[rx] return_path_f", base.rx.return_path_f is not None),
-            ("[rx] ground_body_f", base.rx.ground_body_f is not None),
-        ]
-    elif kind == "tx_position":
-        conflicts = [
-            ("[tx] position_s", base.tx.position_s is not None),
-            ("[tx] shadowing_x", base.tx.shadowing_x is not None),
-            ("[tx] return_path_f", base.tx.return_path_f is not None),
-        ]
-    elif kind == "rx_position":
-        conflicts = [
-            ("[rx] position_s", base.rx.position_s is not None),
-            ("[rx] shadowing_x", base.rx.shadowing_x is not None),
-            ("[rx] return_path_f", base.rx.return_path_f is not None),
-        ]
-    elif kind == "dielectric_thickness":
-        conflicts = [
-            ("[body] c_b_f", base.c_b_f is not None),
-            ("[body] dielectric_thickness_m", base.dielectric_thickness_m is not None),
-        ]
-    return [name for name, hit in conflicts if hit]
+def _is_set(config: ScenarioConfig, pin: str) -> bool:
+    """Whether every ``[section] key`` of a pin holds a value in ``config``."""
+    for key in pin.split(" + "):
+        section, name = key[1:].split("] ")
+        holder = getattr(config, section) if section in ("tx", "rx") else config
+        if getattr(holder, name) is None:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -138,10 +131,10 @@ class SweepSpec:
     include_oracle: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in SWEPT_COLUMN:
+        if self.kind not in SWEEP_KINDS:
             raise ConfigError(
                 f"unknown sweep kind {self.kind!r} (expected one of "
-                f"{sorted(SWEPT_COLUMN)})"
+                f"{sorted(SWEEP_KINDS)})"
             )
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ConfigError("sweep range must be finite")
@@ -158,32 +151,13 @@ class SweepSpec:
                 )
         elif self.start <= 0:
             raise ConfigError(f"{self.kind} sweep requires positive values, got min={self.start}")
-        conflicts = _conflicting_keys(self.kind, self.base)
+        _, _, pins = SWEEP_KINDS[self.kind]
+        conflicts = [pin for pin in pins if _is_set(self.base, pin)]
         if conflicts:
             raise ConfigError(
                 f"{self.kind} sweep conflicts with fixed config value(s): "
                 + ", ".join(conflicts)
             )
-
-    def scenario_at(self, value: float) -> ChannelScenario:
-        """Build the scenario with the swept parameter set to ``value``."""
-        base = self.base
-        if self.kind == "separation":
-            cfg = with_override(base, separation_m=value)
-        elif self.kind == "radius":
-            cfg = with_side_override(base, "tx", radius_m=value)
-            cfg = with_side_override(cfg, "rx", radius_m=value)
-        elif self.kind == "device_area":
-            radius = math.sqrt(value / math.pi)
-            cfg = with_side_override(base, "tx", radius_m=radius)
-            cfg = with_side_override(cfg, "rx", radius_m=radius)
-        elif self.kind == "tx_position":
-            cfg = with_side_override(base, "tx", position_s=value)
-        elif self.kind == "rx_position":
-            cfg = with_side_override(base, "rx", position_s=value)
-        else:  # dielectric_thickness
-            cfg = with_override(base, dielectric_thickness_m=value)
-        return build_scenario(cfg)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -193,11 +167,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         The underlying ConfigError / solver error, re-raised with the
         offending step index and swept value prepended.
     """
+    column, drive, _ = SWEEP_KINDS[spec.kind]
+    # Every row shares the base config's dielectric table: load it once.
+    needs_table = drive(spec.base, spec.start).dielectric_thickness_m is not None
+    table = load_dielectric_table(spec.base) if needs_table else None
     values = np.linspace(spec.start, spec.stop, spec.steps)
     rows = []
     for index, value in enumerate(values.tolist()):
         try:
-            scenario = spec.scenario_at(value)
+            scenario = build_scenario(drive(spec.base, value), table)
             ratio = full_transfer(scenario)
             oracle_ratio = None
             oracle_err = None
@@ -226,7 +204,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         ))
     return SweepResult(
         kind=spec.kind,
-        swept_name=SWEPT_COLUMN[spec.kind],
+        swept_name=column,
         rows=tuple(rows),
         include_oracle=spec.include_oracle,
     )

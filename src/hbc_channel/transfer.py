@@ -66,8 +66,8 @@ class GeometricProvenance:
     """Geometric inputs a scenario's capacitances were derived from.
 
     Any subset may be present; fields left ``None`` were supplied directly as
-    capacitances.  ``decouple_m`` records the separation beyond which the
-    coupling capacitance was zeroed during scenario assembly.
+    capacitances.  ``d`` and ``k`` are present only when the near-field law
+    ``k*pi*a^2/d`` gave the scenario's coupling capacitance.
     """
 
     tx_geom: DeviceGeometry | None = None
@@ -77,7 +77,6 @@ class GeometricProvenance:
     c_f: float | None = None
     d: float | None = None
     k: CouplingConstant | None = None
-    decouple_m: float | None = None
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,7 @@ class ChannelScenario:
             return
 
         def check(name: str, stored: float, derived: float) -> None:
-            scale = max(abs(stored), abs(derived))
-            if scale > 0 and abs(stored - derived) > rel_tol * scale:
+            if relative_error(stored, derived) > rel_tol:
                 raise ValueError(
                     f"scenario {name}={stored:.15g} disagrees with geometric "
                     f"derivation {derived:.15g}"
@@ -136,11 +134,7 @@ class ChannelScenario:
             )
             check("c_gb_rx", self.c_gb_rx, derived_gb)
         if p.tx_geom is not None and p.d is not None and p.k is not None:
-            if p.decouple_m is not None and p.d >= p.decouple_m:
-                derived_cc = 0.0
-            else:
-                derived_cc = coupling_capacitance(p.tx_geom, p.d, p.k)
-            check("c_c", self.c_c, derived_cc)
+            check("c_c", self.c_c, coupling_capacitance(p.tx_geom, p.d, p.k))
 
 
 @dataclass(frozen=True)
@@ -349,8 +343,10 @@ def compare_closed_forms(s: ChannelScenario, frequency: float = 1e5) -> Transfer
     """Evaluate every applicable closed form plus the nodal oracle.
 
     Geometric forms are included when the scenario carries full geometric
-    provenance.  Pairwise relative errors cover each closed form against the
-    oracle and the closed forms against the full expression.
+    provenance; ``geometric_full`` also needs its ``d`` and ``k``, which
+    scenario assembly records only inside the decoupling distance.  Pairwise
+    relative errors cover each closed form against the oracle and the closed
+    forms against the full expression.
 
     Raises:
         SingularNetworkError: Propagated from the nodal solve.

@@ -1,12 +1,15 @@
 """End-to-end tests of the `hbc` command-line interface."""
 
+import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, REPO_ROOT
+from hbc_channel import cli
 
 
 def run_cli(*args, **kwargs):
@@ -16,6 +19,19 @@ def run_cli(*args, **kwargs):
         text=True,
         **kwargs,
     )
+
+
+def geometric_config(tmp_path, link="separation_m = 0.10", extra=""):
+    """The sample geometric config with its separation line replaced by
+    ``link`` and ``extra`` appended."""
+    text = (CONFIG_DIR / "sample_geometric.cfg").read_text()
+    text = text.replace("separation_m = 0.10", link).replace(
+        "dielectric_table = dielectric_cb.csv",
+        f"dielectric_table = {CONFIG_DIR / 'dielectric_cb.csv'}",
+    )
+    path = tmp_path / "geometric.cfg"
+    path.write_text(text + extra)
+    return path
 
 
 class TestEval:
@@ -39,6 +55,31 @@ class TestEval:
             4.750e-4, rel=1e-4
         )
         assert payload["flags"] == ["coupled"]
+
+    def test_geometric_coupled_form_omitted_beyond_decoupling(self, tmp_path):
+        """Beyond decouple_m the coupling is zero, so the geometric form that
+        applies k*pi*a^2/d is not reported."""
+        proc = run_cli("eval", str(geometric_config(tmp_path, "separation_m = 0.6")), "--json")
+        assert proc.returncode == 0
+        payload = json.loads(proc.stdout)
+        assert payload["capacitances"]["c_c_f"] == 0.0
+        assert "geometric_full" not in payload["ratios"]
+        assert "geometric_distant" in payload["ratios"]
+
+    @pytest.mark.parametrize(
+        "link, extra, key",
+        [
+            ("separation_m = 0.10\ndecouple_m = nan", "", "[link] decouple_m"),
+            ("separation_m = 0.10\ndecouple_m = -1", "", "[link] decouple_m"),
+            ("separation_m = inf", "", "[link] separation_m"),
+            ("separation_m = 0.10", "\n[channel]\nfrequency_hz = nan\n", "[channel] frequency_hz"),
+        ],
+        ids=["decouple-nan", "decouple-negative", "separation-inf", "frequency-nan"],
+    )
+    def test_bad_value_exits_1_naming_key(self, tmp_path, link, extra, key):
+        proc = run_cli("eval", str(geometric_config(tmp_path, link, extra)))
+        assert proc.returncode == 1
+        assert key in proc.stderr
 
     def test_db_mode_prints_losses(self):
         proc = run_cli("eval", str(CONFIG_DIR / "default_direct.cfg"), "--db")
@@ -172,11 +213,30 @@ class TestCalibrateK:
 class TestEntryPoint:
     def test_console_script_matches_module(self):
         """The installed `hbc` script and `python -m hbc_channel` agree."""
+        if shutil.which("hbc") is None:
+            pytest.skip("console script not on PATH (package not installed)")
         module = run_cli("eval", str(CONFIG_DIR / "default_direct.cfg"), "--json")
         script = subprocess.run(
             ["hbc", "eval", str(CONFIG_DIR / "default_direct.cfg"), "--json"],
             capture_output=True, text=True,
         )
-        if script.returncode == 127:
-            pytest.skip("console script not on PATH in this environment")
         assert json.loads(module.stdout) == json.loads(script.stdout)
+
+
+class TestGoldens:
+    def test_sample_outputs_match_benchmark_goldens(self, monkeypatch):
+        """`eval --json`, the sample sweep CSVs and `resonance` stay
+        byte-identical to the benchmark's recorded goldens."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_checks", REPO_ROOT / "perfbench" / "checks.py"
+        )
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        monkeypatch.chdir(REPO_ROOT)
+        work_dir = REPO_ROOT / checks.WORK_DIR
+        created = not work_dir.exists()
+        try:
+            checks.check_all_goldens(cli.main)
+        finally:
+            if created:
+                shutil.rmtree(work_dir, ignore_errors=True)

@@ -11,7 +11,6 @@ from hbc_channel import (
     DeviceGeometry,
     calibrate_coupling_constant,
     coupling_capacitance,
-    disc_self_capacitance,
     ground_to_body_capacitance,
     plate_to_plate_capacitance,
     return_path_capacitance,
@@ -20,7 +19,7 @@ from hbc_channel import (
 
 class TestDeviceGeometry:
     def test_valid_geometry(self):
-        geom = DeviceGeometry(radius_a=0.03, thickness_t=0.005, disc_height_h=0.002)
+        geom = DeviceGeometry(radius_a=0.03, thickness_t=0.005)
         assert geom.plate_area == pytest.approx(math.pi * 0.03**2, rel=1e-15)
 
     def test_rejects_nonpositive_radius(self):
@@ -33,44 +32,28 @@ class TestDeviceGeometry:
         with pytest.raises(ValueError, match="thickness_t"):
             DeviceGeometry(radius_a=0.03, thickness_t=0.0)
 
-    def test_rejects_negative_height(self):
-        with pytest.raises(ValueError, match="disc_height_h"):
-            DeviceGeometry(radius_a=0.03, thickness_t=0.005, disc_height_h=-1e-3)
-
 
 class TestDiscSelfCapacitance:
-    def test_thin_disc_1cm(self):
-        """a = 1 cm, h = 0: exactly 8*eps0*a = 0.7083 pF."""
-        geom = DeviceGeometry(0.01, 0.005)
-        assert disc_self_capacitance(geom) == 8 * EPSILON_0 * 0.01
-        assert disc_self_capacitance(geom) == pytest.approx(0.7083e-12, rel=5e-4)
+    """Thin-disc self capacitance 8*eps0*a, the unshadowed return path."""
 
-    def test_thick_disc_correction(self):
-        """a = 1 cm, h = 2 mm: (0.1)**0.76 correction gives 0.8154 pF."""
-        geom = DeviceGeometry(0.01, 0.005, disc_height_h=0.002)
-        assert disc_self_capacitance(geom) == pytest.approx(0.8154e-12, rel=5e-4)
+    def test_thin_disc_1cm(self):
+        """a = 1 cm: exactly 8*eps0*a = 0.7083 pF."""
+        geom = DeviceGeometry(0.01, 0.005)
+        assert return_path_capacitance(geom, 1.0) == 8 * EPSILON_0 * 0.01
+        assert return_path_capacitance(geom, 1.0) == pytest.approx(0.7083e-12, rel=5e-4)
 
     def test_thin_disc_3cm(self):
         geom = DeviceGeometry(0.03, 0.005)
-        assert disc_self_capacitance(geom) == pytest.approx(2.125e-12, rel=5e-4)
+        assert return_path_capacitance(geom, 1.0) == pytest.approx(2.125e-12, rel=5e-4)
 
     def test_strictly_increasing_in_radius(self):
         radii = np.linspace(0.002, 0.08, 25)
-        values = [
-            disc_self_capacitance(DeviceGeometry(a, 0.005, 0.001)) for a in radii
-        ]
+        values = [return_path_capacitance(DeviceGeometry(a, 0.005), 1.0) for a in radii]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_nondecreasing_in_height(self):
-        heights = np.linspace(0.0, 0.01, 25)
-        values = [
-            disc_self_capacitance(DeviceGeometry(0.02, 0.005, h)) for h in heights
-        ]
-        assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_subnormal_result_flushed_to_zero(self):
         geom = DeviceGeometry(1e-300, 0.005)
-        assert disc_self_capacitance(geom) == 0.0
+        assert return_path_capacitance(geom, 1.0) == 0.0
 
 
 class TestPlateToPlateCapacitance:
@@ -100,9 +83,7 @@ class TestPlateToPlateCapacitance:
 class TestReturnPathCapacitance:
     def test_unshadowed_recovers_thin_disc(self):
         geom = DeviceGeometry(0.03, 0.005)
-        assert return_path_capacitance(geom, 1.0) == disc_self_capacitance(
-            DeviceGeometry(0.03, 0.005, disc_height_h=0.0)
-        )
+        assert return_path_capacitance(geom, 1.0) == 8 * EPSILON_0 * 0.03
 
     def test_half_shadowed(self):
         geom = DeviceGeometry(0.03, 0.005)
@@ -119,11 +100,6 @@ class TestReturnPathCapacitance:
             assert return_path_capacitance(geom, float(x)) == pytest.approx(
                 x * full, rel=1e-12
             )
-
-    def test_never_exceeds_thin_disc_value(self):
-        geom = DeviceGeometry(0.03, 0.005, disc_height_h=0.004)
-        thin = disc_self_capacitance(DeviceGeometry(0.03, 0.005, 0.0))
-        assert return_path_capacitance(geom, 1.0) <= thin
 
     @pytest.mark.parametrize("x", [0.0, -0.2, 1.0001, math.inf, math.nan])
     def test_rejects_out_of_range_fraction(self, x):
