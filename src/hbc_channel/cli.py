@@ -12,7 +12,8 @@ Subcommands:
 * ``hbc calibrate-k --cc <F> --d <m> --area <m2>`` - back-solve the coupling
   constant from a reference point.
 
-Exit codes: 0 success, 1 config error, 2 numerical/singularity error.
+Exit codes: 0 success, 1 config error, 2 numerical/singularity error.  A
+failing sweep row exits with the code of the row's own error.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import sys
 from .config import (
     ConfigError,
     ParsedConfig,
+    body_capacitance,
     build_scenario,
     load_config_file,
-    load_dielectric_table,
 )
 from .geometry import calibrate_coupling_constant
 from .network import SingularNetworkError, build_channel_network
@@ -34,11 +35,10 @@ from .resonance import (
     BoundaryPeakError,
     FlatSweepError,
     ResonanceCircuit,
-    body_capacitance_lookup,
     default_frequency_grid,
     extract_body_capacitance,
 )
-from .sweep import SweepSpec, emit_csv, run_sweep
+from .sweep import SweepSpec, SweepStepError, emit_csv, run_sweep
 from .transfer import DegenerateScenarioError, compare_closed_forms, ratio_to_db
 
 EXIT_OK = 0
@@ -181,19 +181,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _resonance_capacitance(parsed: ParsedConfig) -> float:
-    section = parsed.resonance
-    if section.capacitance_f is not None:
-        return section.capacitance_f
+    """``[resonance] capacitance_f``, else C_B by the rule scenarios use."""
+    if parsed.resonance.capacitance_f is not None:
+        return parsed.resonance.capacitance_f
     scenario = parsed.scenario
-    if scenario.c_b_f is not None:
-        return scenario.c_b_f
-    if scenario.dielectric_thickness_m is not None:
-        table = load_dielectric_table(scenario)
-        return body_capacitance_lookup(scenario.dielectric_thickness_m, table)
-    raise ConfigError(
-        "missing required parameter: [resonance] capacitance_f, [body] c_b_f, "
-        "or [body] dielectric_thickness_m plus dielectric_table"
-    )
+    if scenario.c_b_f is None and scenario.dielectric_thickness_m is None:
+        raise ConfigError(
+            "missing required parameter: [resonance] capacitance_f, [body] c_b_f, "
+            "or [body] dielectric_thickness_m plus dielectric_table"
+        )
+    return body_capacitance(scenario)
 
 
 def _cmd_resonance(args) -> int:
@@ -244,12 +241,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"hbc: numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ConfigError, FileNotFoundError, OSError, ValueError) as exc:
-        print(f"hbc: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (SweepStepError, *_NUMERICAL_ERRORS, ConfigError, OSError, ValueError) as exc:
+        cause = exc.__cause__ if isinstance(exc, SweepStepError) else exc
+        if isinstance(cause, _NUMERICAL_ERRORS):
+            print(f"hbc: numerical error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        if isinstance(cause, (ConfigError, OSError, ValueError)):
+            print(f"hbc: config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        raise
 
 
 if __name__ == "__main__":

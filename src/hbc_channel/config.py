@@ -39,6 +39,9 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from .columns import fails
 from .constants import DECOUPLING_DISTANCE_M, EQS_MAX_FREQUENCY_HZ
 from .geometry import (
     CouplingConstant,
@@ -334,7 +337,7 @@ def _pick(
         ConfigError: On disagreement, or on a missing required quantity.
     """
     if derived is not None:
-        if direct is not None and relative_error(direct, derived) > CONSISTENCY_REL_TOL:
+        if direct is not None and fails(relative_error(direct, derived) > CONSISTENCY_REL_TOL):
             raise ConfigError(
                 f"{name}: direct value {direct:.12g} disagrees with its geometric "
                 f"derivation {derived:.12g} (more than {CONSISTENCY_REL_TOL:g} relative)"
@@ -383,12 +386,12 @@ def _resolve_separation(config: ScenarioConfig) -> float | None:
                 "(required to turn device positions into a separation)"
             )
         derived = abs(tx_s - rx_s) * config.segment_length_m
-        if derived <= 0:
+        if fails(derived <= 0):
             raise ConfigError(
                 f"tx and rx positions coincide (position_s = {tx_s:g}); "
                 "device separation would be zero"
             )
-    if config.separation_m is not None and config.separation_m <= 0:
+    if config.separation_m is not None and fails(config.separation_m <= 0):
         raise ConfigError(f"[link] separation_m must be positive, got {config.separation_m}")
     return _pick("[link] separation_m", config.separation_m, derived, None)
 
@@ -403,9 +406,36 @@ def effective_coupling_capacitance(
     direct path and the coupling drops below anything resolvable, so it is
     taken as zero.
     """
-    if d >= decouple_m:
-        return 0.0
-    return coupling_capacitance(geom, d, k)
+    far = d >= decouple_m
+    if isinstance(far, np.ndarray):
+        # Far rows pass the law's checks too (d >= decouple_m > 0).
+        return np.where(far, 0.0, coupling_capacitance(geom, d, k))
+    return 0.0 if far else coupling_capacitance(geom, d, k)
+
+
+def body_capacitance(config: ScenarioConfig, table: DielectricTable | None = None) -> float:
+    """Body capacitance C_B: direct, from the dielectric table, or both (checked).
+
+    The table value at ``dielectric_thickness_m`` is the one kept; ``table``
+    is the table ``config`` names, loaded on demand when not passed.
+
+    Raises:
+        ConfigError: On a thickness outside the table, a disagreeing
+            ``[body] c_b_f``, or neither input.
+    """
+    derived = None
+    if config.dielectric_thickness_m is not None:
+        if table is None:
+            table = load_dielectric_table(config)
+        try:
+            derived = body_capacitance_lookup(config.dielectric_thickness_m, table)
+        except ValueError as exc:
+            raise ConfigError(f"[body] dielectric_thickness_m: {exc}") from exc
+    return _pick(
+        "[body] c_b_f", config.c_b_f, derived,
+        "missing required parameter: [body] c_b_f, or dielectric_thickness_m "
+        "plus dielectric_table to derive it",
+    )
 
 
 def build_scenario(
@@ -417,6 +447,8 @@ def build_scenario(
     the geometric inputs used are recorded as provenance on the scenario.
     ``table`` is the dielectric table ``config`` names, passed by callers that
     build many scenarios from one config; by default it is loaded on demand.
+    A swept input given as a numpy column gives a scenario of columns, and a
+    check failing on any row raises :class:`~hbc_channel.columns.RowFailure`.
 
     Raises:
         ConfigError: Naming the missing or inconsistent field.
@@ -457,20 +489,7 @@ def build_scenario(
 
     c_l = _pick("[rx] load_f", config.rx.load_f, None, "missing required parameter: [rx] load_f")
 
-    # Body capacitance: direct or via the dielectric-thickness table.
-    derived_cb = None
-    if config.dielectric_thickness_m is not None:
-        if table is None:
-            table = load_dielectric_table(config)
-        try:
-            derived_cb = body_capacitance_lookup(config.dielectric_thickness_m, table)
-        except ValueError as exc:
-            raise ConfigError(f"[body] dielectric_thickness_m: {exc}") from exc
-    c_b = _pick(
-        "[body] c_b_f", config.c_b_f, derived_cb,
-        "missing required parameter: [body] c_b_f, or dielectric_thickness_m "
-        "plus dielectric_table to derive it",
-    )
+    c_b = body_capacitance(config, table)
 
     # Inter-device coupling: direct, or the shielded near-field law.
     separation = _resolve_separation(config)
@@ -493,13 +512,14 @@ def build_scenario(
 
     # d and k describe c_c only where the near-field law produced it; beyond
     # decouple_m the coupling is zero and no geometric coupled form applies.
-    near_field = derived_cc is not None and derived_cc > 0.0
+    # A scenario of columns records them on no row.
+    near_field = isinstance(derived_cc, float) and derived_cc > 0.0
     provenance = GeometricProvenance(
         tx_geom=tx_geom, rx_geom=rx_geom, x_tx=x_tx, x_rx=x_rx, c_f=c_f,
         d=separation if near_field else None,
         k=k if near_field else None,
     )
-    if provenance == GeometricProvenance():
+    if all(value is None for value in vars(provenance).values()):
         provenance = None
 
     try:

@@ -9,7 +9,8 @@ geometry, position and calibration constants:
 * ground-to-body capacitance as plate-to-plate plus fringe contribution.
 
 All functions are pure and all results are validated finite and nonnegative;
-subnormal results are flushed to zero.
+subnormal results are flushed to zero.  Radii, shadowing fractions and
+separations may be numpy columns (see :mod:`hbc_channel.columns`).
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
+from .columns import fails, holds
 from .constants import EPSILON_0
 
 
@@ -34,15 +38,18 @@ class DeviceGeometry:
     thickness_t: float
 
     def __post_init__(self) -> None:
-        if not (self.radius_a > 0 and math.isfinite(self.radius_a)):
+        if not holds((self.radius_a > 0) & (self.radius_a < math.inf)):
             raise ValueError(f"radius_a must be positive, got {self.radius_a}")
-        if not (self.thickness_t > 0 and math.isfinite(self.thickness_t)):
+        if not holds((self.thickness_t > 0) & (self.thickness_t < math.inf)):
             raise ValueError(f"thickness_t must be positive, got {self.thickness_t}")
 
     @property
     def plate_area(self) -> float:
         """Plate area pi*a^2 in m^2."""
-        return math.pi * self.radius_a**2
+        a = self.radius_a
+        # A float's a**2 is libm pow, which rounds differently from a*a for
+        # about 0.1 % of radii; numpy's ** squares, its float_power calls pow.
+        return math.pi * (np.float_power(a, 2) if isinstance(a, np.ndarray) else a**2)
 
 
 @dataclass(frozen=True)
@@ -62,11 +69,11 @@ def _validated_capacitance(value: float, context: str) -> float:
     Subnormals are flushed to zero so downstream ratios never divide by a
     denormal tail.
     """
-    if not math.isfinite(value) or value < 0:
+    if not holds((value >= 0) & (value < math.inf)):
         raise ValueError(f"{context} produced invalid capacitance {value}")
-    if 0 < value < sys.float_info.min:
-        return 0.0
-    return value
+    if isinstance(value, np.ndarray):
+        return np.where((value > 0) & (value < sys.float_info.min), 0.0, value)
+    return 0.0 if 0 < value < sys.float_info.min else value
 
 
 def plate_to_plate_capacitance(geom: DeviceGeometry) -> float:
@@ -93,7 +100,7 @@ def return_path_capacitance(geom: DeviceGeometry, x: float) -> float:
     Raises:
         ValueError: If x is outside (0, 1].
     """
-    if not (0.0 < x <= 1.0):
+    if not holds((x > 0.0) & (x <= 1.0)):
         raise ValueError(f"shadowing fraction x must be in (0, 1], got {x}")
     value = x * 8.0 * EPSILON_0 * geom.radius_a
     return _validated_capacitance(value, "return_path_capacitance")
@@ -103,15 +110,13 @@ def coupling_capacitance(geom: DeviceGeometry, d: float, k: CouplingConstant) ->
     """Near-field coupling capacitance between two device ground plates, F.
 
     ``C_c = k * pi * a^2 / d``: proportional to plate area, inversely
-    proportional to the plate separation d.
+    proportional to the plate separation d (zero at d = inf).
 
     Raises:
-        ValueError: If d <= 0 or not finite.
+        ValueError: If d <= 0 or NaN.
     """
-    if not (d > 0):
+    if not holds(d > 0):
         raise ValueError(f"device separation d must be positive, got {d}")
-    if math.isinf(d):
-        return 0.0
     value = k.k * geom.plate_area / d
     return _validated_capacitance(value, "coupling_capacitance")
 
@@ -122,7 +127,7 @@ def ground_to_body_capacitance(c_pp: float, c_fringe: float) -> float:
     Sum of the plate-to-plate capacitance and the fringe-field capacitance
     between the body and the ground plate.
     """
-    if c_pp < 0 or c_fringe < 0:
+    if fails((c_pp < 0) | (c_fringe < 0)):
         raise ValueError(
             f"capacitances must be nonnegative, got c_pp={c_pp}, c_fringe={c_fringe}"
         )

@@ -7,14 +7,20 @@ pivoting via numpy); for capacitance-only networks the resulting transfer
 ratio is real and frequency independent, which makes the solver an
 independent numerical oracle for every closed-form expression in
 :mod:`hbc_channel.transfer`.
+
+Branch capacitances may be numpy columns of one length: the network is then a
+batch of networks of one topology, one per row, solved in one stacked call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .columns import fails, holds
 
 
 class SingularNetworkError(RuntimeError):
@@ -33,7 +39,8 @@ class CapNetwork:
         node_count: Number of nodes, ids 0..node_count-1.
         reference_node: Earth-ground node id (potential 0).
         branches: (node_i, node_j, capacitance_farads) tuples; parallel
-            branches between the same pair are allowed.
+            branches between the same pair are allowed.  In a batch a
+            capacitance column may be zero on rows where the branch is absent.
         source: (node_plus, node_minus, amplitude_volts) ideal source.
         output: (node_plus, node_minus) port whose voltage defines the ratio.
     """
@@ -55,7 +62,11 @@ class CapNetwork:
                 raise ValueError(f"branch ({i}, {j}) references a node out of range")
             if i == j:
                 raise ValueError(f"branch ({i}, {j}) connects a node to itself")
-            if not (c > 0 and math.isfinite(c)):
+            if isinstance(c, np.ndarray):  # a batch branch may be absent (zero) on some rows
+                valid = holds((c >= 0) & (c < math.inf))
+            else:
+                valid = c > 0 and math.isfinite(c)
+            if not valid:
                 raise ValueError(f"branch ({i}, {j}) capacitance must be positive, got {c}")
         sp, sm, amp = self.source
         if not (0 <= sp < n and 0 <= sm < n) or sp == sm:
@@ -78,7 +89,11 @@ class CapNetwork:
 
 @dataclass(frozen=True)
 class TransferSolution:
-    """Solved transfer: output/source voltage ratio plus all node potentials."""
+    """Solved transfer: output/source voltage ratio plus all node potentials.
+
+    For a batch, ``ratio`` is a column and ``node_potentials`` an array with
+    one row per network.
+    """
 
     ratio: complex
     node_potentials: tuple[complex, ...] = field(repr=False)
@@ -112,6 +127,9 @@ def build_channel_network(
     The body to Tx-ground capacitance is deliberately absent: it would sit
     directly across the ideal source and cannot affect the transfer.
 
+    Columns give a batch, which always carries the C_c branch: its zero rows
+    add exact zeros to their matrices.
+
     Args:
         c_x_tx: Tx return-path capacitance, F (> 0).
         c_x_rx: Rx return-path capacitance, F (> 0).
@@ -125,9 +143,9 @@ def build_channel_network(
         ("c_x_tx", c_x_tx), ("c_x_rx", c_x_rx), ("c_gb_rx", c_gb_rx),
         ("c_l", c_l), ("c_b", c_b),
     ):
-        if not (value > 0 and math.isfinite(value)):
+        if not holds((value > 0) & (value < math.inf)):
             raise ValueError(f"{name} must be positive, got {value}")
-    if c_c < 0 or not math.isfinite(c_c):
+    if not holds((c_c >= 0) & (c_c < math.inf)):
         raise ValueError(f"c_c must be nonnegative, got {c_c}")
 
     branches = [
@@ -137,7 +155,7 @@ def build_channel_network(
         (NODE_BODY, NODE_RX_GROUND, c_l),
         (NODE_BODY, NODE_RX_GROUND, c_gb_rx),
     ]
-    if c_c > 0:
+    if isinstance(c_c, np.ndarray) or c_c > 0:
         branches.append((NODE_TX_GROUND, NODE_RX_GROUND, c_c))
     return CapNetwork(
         node_count=4,
@@ -188,7 +206,8 @@ def solve_transfer(net: CapNetwork, frequency: float) -> TransferSolution:
     assembled with capacitances normalised by the largest branch value (the
     source current unknown absorbs the j*w*C_ref scale), which keeps the
     matrix real and well conditioned; dense LU with partial pivoting does the
-    elimination.
+    elimination.  A batch stacks one such system per row, assembled in the
+    same branch order, and solves them in one call.
 
     Args:
         net: Network to solve.
@@ -217,40 +236,54 @@ def solve_transfer(net: CapNetwork, frequency: float) -> TransferSolution:
         node: k for k, node in enumerate(n for n in range(net.node_count) if n != net.reference_node)
     }
     m = len(unknown_index)
-    a = np.zeros((m + 1, m + 1))
-    rhs = np.zeros(m + 1)
-
-    c_ref = max(c for _, _, c in net.branches)
+    caps = [c for _, _, c in net.branches]
+    batch = next((c.shape for c in caps if isinstance(c, np.ndarray)), ())
+    c_ref = functools.reduce(np.maximum, caps) if batch else max(caps)
+    # Entries are stamped as floats (columns in a batch) and become one array
+    # at the end; a stamp makes a new value, so the shared zero stays zero.
+    zero = np.zeros(batch) if batch else 0.0
+    a = [[zero] * (m + 1) for _ in range(m + 1)]
     for i, j, c in net.branches:
         b = c / c_ref
-        if i != net.reference_node:
-            a[unknown_index[i], unknown_index[i]] += b
-        if j != net.reference_node:
-            a[unknown_index[j], unknown_index[j]] += b
-        if i != net.reference_node and j != net.reference_node:
-            a[unknown_index[i], unknown_index[j]] -= b
-            a[unknown_index[j], unknown_index[i]] -= b
+        p, q = unknown_index.get(i), unknown_index.get(j)
+        if p is not None:
+            a[p][p] = a[p][p] + b
+        if q is not None:
+            a[q][q] = a[q][q] + b
+        if p is not None and q is not None:
+            a[p][q] = a[p][q] - b
+            a[q][p] = a[q][p] - b
 
     sp, sm, amplitude = net.source
-    if sp != net.reference_node:
-        a[unknown_index[sp], m] = 1.0
-        a[m, unknown_index[sp]] = 1.0
-    if sm != net.reference_node:
-        a[unknown_index[sm], m] = -1.0
-        a[m, unknown_index[sm]] = -1.0
-    rhs[m] = amplitude
+    for node, sign in ((sp, 1.0), (sm, -1.0)):
+        if node != net.reference_node:
+            a[unknown_index[node]][m] = a[m][unknown_index[node]] = zero + sign
+    a = np.array(a)
+    # One right-hand column per system: a stack of (m+1, 1) matrices is read
+    # the same way by every numpy version.
+    rhs = np.zeros((m + 1, 1) + batch)
+    rhs[m, 0] = amplitude
+    if batch:  # matrix axes last for the stacked solve
+        a, rhs = (np.moveaxis(x, (0, 1), (-2, -1)) for x in (a, rhs))
 
     try:
-        solution = np.linalg.solve(a, rhs)
+        # Unknowns first again: one entry, or one column, per unknown.
+        solution = np.linalg.solve(a, rhs)[..., 0].T
     except np.linalg.LinAlgError as exc:
+        if batch:
+            # LU pivots exactly zero on the same rows as in the solve.
+            fails(np.linalg.slogdet(a)[0] == 0)
         raise SingularNetworkError(f"nodal system is singular: {exc}") from exc
-    if not np.all(np.isfinite(solution)):
+    if not holds(np.isfinite(solution).all(axis=0)):
         raise SingularNetworkError("nodal system is numerically singular")
 
-    potentials = [0j] * net.node_count
+    potentials = [0.0] * net.node_count
     for node, k in unknown_index.items():
-        potentials[node] = complex(solution[k])
+        potentials[node] = solution[k]
 
     op, om = net.output
     ratio = (potentials[op] - potentials[om]) / amplitude
-    return TransferSolution(ratio=ratio, node_potentials=tuple(potentials))
+    if batch:
+        rows = np.stack(np.broadcast_arrays(*potentials), axis=-1)
+        return TransferSolution(ratio=ratio + 0j, node_potentials=rows + 0j)
+    return TransferSolution(ratio=complex(ratio), node_potentials=tuple(map(complex, potentials)))

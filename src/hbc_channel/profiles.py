@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .columns import holds
+
 SEGMENT_NAMES = ("arm", "torso", "custom")
 
 
@@ -56,18 +58,20 @@ def shadowing_factor(s: float, profile: ShadowingProfile) -> float:
     """Interpolate the shadowing fraction at body coordinate s.
 
     Args:
-        s: Coordinate in [0, 1], restricted to the profile's anchor span.
+        s: Coordinate in [0, 1], restricted to the profile's anchor span; a
+            numpy column gives a column.
 
     Raises:
         ValueError: If s is outside the anchor range (no extrapolation).
     """
-    if not (0.0 <= s <= 1.0) or not math.isfinite(s):
+    if not holds((s >= 0.0) & (s <= 1.0)):
         raise ValueError(f"body coordinate s={s} outside [0, 1]")
     low, high = profile.anchors[0][0], profile.anchors[-1][0]
-    if not (low <= s <= high):
+    if not holds((s >= low) & (s <= high)):
         raise ValueError(
             f"body coordinate {s:.6g} outside profile anchor range [{low:.6g}, {high:.6g}]"
         )
     coords = [a[0] for a in profile.anchors]
     values = [a[1] for a in profile.anchors]
-    return float(np.interp(s, coords, values))
+    x = np.interp(s, coords, values)
+    return x if isinstance(s, np.ndarray) else float(x)

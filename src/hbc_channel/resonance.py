@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .columns import holds
+
 DEFAULT_SERIES_RESISTANCE_OHM = 10.0
 DEFAULT_GRID_MIN_HZ = 10e3
 DEFAULT_GRID_MAX_HZ = 1e6
@@ -239,16 +241,18 @@ def body_capacitance_lookup(thickness: float, table: DielectricTable) -> float:
     """Interpolate the body capacitance for a dielectric thickness.
 
     Piecewise-linear between rows and exact at them; queries outside the
-    table range are rejected rather than extrapolated.
+    table range are rejected rather than extrapolated.  A numpy column of
+    thicknesses gives a column.
     """
-    if not math.isfinite(thickness):
+    if not holds(abs(thickness) < math.inf):
         raise ValueError(f"thickness must be finite, got {thickness}")
     low, high = table.rows[0][0], table.rows[-1][0]
-    if not (low <= thickness <= high):
+    if not holds((thickness >= low) & (thickness <= high)):
         raise ValueError(
             f"thickness {thickness:.6g} m outside table range "
             f"[{low:.6g}, {high:.6g}] m; extrapolation is not supported"
         )
     thicknesses = [r[0] for r in table.rows]
     capacitances = [r[1] for r in table.rows]
-    return float(np.interp(thickness, thicknesses, capacitances))
+    c_b = np.interp(thickness, thicknesses, capacitances)
+    return c_b if isinstance(thickness, np.ndarray) else float(c_b)

@@ -1,25 +1,32 @@
 """Parameter sweeps over channel scenarios, with CSV output.
 
-A sweep varies exactly one scenario parameter over a linear range, rebuilds
-the scenario at every step through :func:`hbc_channel.config.build_scenario`,
-and records the derived capacitances, the transfer ratio, the loss in dB and
-the regime flags per row.  The nodal oracle can be run per row on request.
+A sweep varies exactly one scenario parameter over a linear range and
+records the derived capacitances, the transfer ratio, the loss in dB and the
+regime flags per row; the nodal oracle can be added per row on request.
 
-Sweeps are deterministic: the same spec always produces byte-identical CSV.
+A sweep is evaluated as columns: the swept value is one numpy column, and
+one :func:`hbc_channel.config.build_scenario` call, one transfer and flag
+pass and, with the oracle, one stacked nodal solve cover every row.  Each
+row's numbers are bit-identical to evaluating that row on its own, so the
+CSV is too.  Sweeps are deterministic: the same spec always produces
+byte-identical CSV.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from .columns import RowFailure
 from .config import ConfigError, ScenarioConfig, build_scenario, load_dielectric_table
 from .network import build_channel_network, solve_transfer
-from .transfer import full_transfer, ratio_to_db, regime_flags, relative_error
+from .transfer import ChannelScenario, full_transfer, ratio_to_db, regime_flags, relative_error
 
 
 def _both_radii(config: ScenarioConfig, radius: float) -> ScenarioConfig:
@@ -44,7 +51,7 @@ SWEEP_KINDS = {
     ),
     "radius": ("radius_m", _both_radii, _RADIUS_PINS),
     "device_area": (
-        "area_m2", lambda c, area: _both_radii(c, math.sqrt(area / math.pi)), _RADIUS_PINS
+        "area_m2", lambda c, area: _both_radii(c, np.sqrt(area / math.pi)), _RADIUS_PINS
     ),
     "tx_position": (
         "tx_position_s",
@@ -65,8 +72,26 @@ SWEEP_KINDS = {
 
 SWEPT_COLUMN = {kind: column for kind, (column, _, _) in SWEEP_KINDS.items()}
 
-_CAP_COLUMNS = ("c_x_tx_f", "c_x_rx_f", "c_gb_rx_f", "c_l_f", "c_b_f", "c_c_f")
+_SCENARIO_FIELDS = ("c_x_tx", "c_x_rx", "c_gb_rx", "c_l", "c_b", "c_c")
+_CAP_COLUMNS = tuple(f"{name}_f" for name in _SCENARIO_FIELDS)
 _ORACLE_COLUMNS = ("oracle_ratio", "oracle_rel_error")
+
+
+class SweepStepError(Exception):
+    """One sweep row failed; its own error is chained as ``__cause__``.
+
+    Attributes:
+        step: Index of the lowest failing row.
+        value: Swept value of that row.
+    """
+
+    def __init__(self, step: int, value: float):
+        super().__init__(step, value)
+        self.step = step
+        self.value = value
+
+    def __str__(self) -> str:
+        return f"sweep step {self.step} (value {self.value:.6g}): {self.__cause__}"
 
 
 @dataclass(frozen=True)
@@ -85,28 +110,77 @@ class SweepRow:
     oracle_rel_error: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep as columns: one array per CSV column and one flag tuple per row.
+
+    ``capacitance`` maps each capacitance CSV column (e.g. ``c_c_f``) to its
+    array; the oracle columns are ``None`` when the oracle was not run.
+    """
+
     kind: str
     swept_name: str
-    rows: tuple[SweepRow, ...]
-    include_oracle: bool = False
+    swept: np.ndarray
+    capacitance: dict[str, np.ndarray]
+    ratio: np.ndarray
+    loss_db: np.ndarray
+    flags: tuple[tuple[str, ...], ...]
+    oracle_ratio: np.ndarray | None = None
+    oracle_rel_error: np.ndarray | None = None
+
+    @property
+    def include_oracle(self) -> bool:
+        return self.oracle_ratio is not None
+
+    @functools.cached_property
+    def rows(self) -> "SweepRows":
+        """The rows, built from the columns when first indexed or iterated."""
+        return SweepRows(self)
 
     def swept_values(self) -> np.ndarray:
-        return np.array([r.swept_value for r in self.rows])
+        return self.swept
 
     def ratios(self) -> np.ndarray:
-        return np.array([r.ratio for r in self.rows])
+        return self.ratio
 
     def losses_db(self) -> np.ndarray:
-        return np.array([r.loss_db for r in self.rows])
+        return self.loss_db
 
     def capacitances(self, column: str) -> np.ndarray:
         """Capacitance column by CSV name (e.g. ``c_c_f``)."""
-        attribute = column.removesuffix("_f")
-        if column not in _CAP_COLUMNS:
+        if column not in self.capacitance:
             raise KeyError(f"unknown capacitance column {column!r}")
-        return np.array([getattr(r, attribute) for r in self.rows])
+        return self.capacitance[column]
+
+    def numeric_columns(self) -> list[np.ndarray]:
+        """Every numeric column in CSV order (flags excluded)."""
+        columns = [self.swept, *self.capacitance.values(), self.ratio, self.loss_db]
+        if self.include_oracle:
+            columns += [self.oracle_ratio, self.oracle_rel_error]
+        return columns
+
+
+class SweepRows(Sequence):
+    """Read-only row view of a :class:`SweepResult`; its length costs nothing."""
+
+    def __init__(self, result: SweepResult):
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result.swept)
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    @functools.cached_property
+    def _rows(self) -> tuple[SweepRow, ...]:
+        result = self._result
+        columns = [column.tolist() for column in result.numeric_columns()]
+        oracle = columns[9:] if result.include_oracle else [[None] * len(self)] * 2
+        return tuple(
+            SweepRow(*numbers, flags, *checks)
+            for *numbers, flags, checks in zip(*columns[:9], result.flags, zip(*oracle))
+        )
 
 
 def _is_set(config: ScenarioConfig, pin: str) -> bool:
@@ -160,58 +234,74 @@ class SweepSpec:
             )
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sweep, one scenario per step.
+def _evaluate(spec: SweepSpec, values, table) -> SweepResult:
+    """The sweep at ``values``: a column of swept values gives every row.
 
-    Raises:
-        The underlying ConfigError / solver error, re-raised with the
-        offending step index and swept value prepended.
+    A float gives that one row's scalars, which is how a failing row raises
+    its own error.  The order of work within a row is the one a row's error
+    depends on: scenario, full transfer, oracle, loss.
     """
     column, drive, _ = SWEEP_KINDS[spec.kind]
+    scenario = build_scenario(drive(spec.base, values), table)
+    if isinstance(values, np.ndarray):
+        # Quantities the swept value does not reach become constant columns.
+        scenario = ChannelScenario(
+            *(np.broadcast_to(getattr(scenario, name), values.shape) for name in _SCENARIO_FIELDS)
+        )
+    ratio = full_transfer(scenario)
+    capacitances = [getattr(scenario, name) for name in _SCENARIO_FIELDS]
+    oracle_ratio = oracle_error = None
+    if spec.include_oracle:
+        net = build_channel_network(*capacitances)
+        oracle_ratio = solve_transfer(net, spec.base.frequency_hz).ratio.real
+        oracle_error = relative_error(ratio, oracle_ratio)
+    return SweepResult(
+        kind=spec.kind,
+        swept_name=column,
+        swept=values,
+        capacitance=dict(zip(_CAP_COLUMNS, capacitances)),
+        ratio=ratio,
+        loss_db=-ratio_to_db(ratio),
+        flags=tuple(regime_flags(scenario)),
+        oracle_ratio=oracle_ratio,
+        oracle_rel_error=oracle_error,
+    )
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate the sweep as columns, every row in one pass.
+
+    Raises:
+        SweepStepError: For the lowest failing row, with that row's own
+            error (ConfigError, solver error, ...) as its ``__cause__``.
+    """
+    _, drive, _ = SWEEP_KINDS[spec.kind]
     # Every row shares the base config's dielectric table: load it once.
     needs_table = drive(spec.base, spec.start).dielectric_thickness_m is not None
     table = load_dielectric_table(spec.base) if needs_table else None
     values = np.linspace(spec.start, spec.stop, spec.steps)
-    rows = []
-    for index, value in enumerate(values.tolist()):
-        try:
-            scenario = build_scenario(drive(spec.base, value), table)
-            ratio = full_transfer(scenario)
-            oracle_ratio = None
-            oracle_err = None
-            if spec.include_oracle:
-                net = build_channel_network(
-                    scenario.c_x_tx, scenario.c_x_rx, scenario.c_gb_rx,
-                    scenario.c_l, scenario.c_b, scenario.c_c,
-                )
-                oracle_ratio = solve_transfer(net, spec.base.frequency_hz).ratio.real
-                oracle_err = relative_error(ratio, oracle_ratio)
-        except Exception as exc:
-            raise type(exc)(f"sweep step {index} (value {value:.6g}): {exc}") from exc
-        rows.append(SweepRow(
-            swept_value=value,
-            c_x_tx=scenario.c_x_tx,
-            c_x_rx=scenario.c_x_rx,
-            c_gb_rx=scenario.c_gb_rx,
-            c_l=scenario.c_l,
-            c_b=scenario.c_b,
-            c_c=scenario.c_c,
-            ratio=ratio,
-            loss_db=-ratio_to_db(ratio),
-            flags=regime_flags(scenario),
-            oracle_ratio=oracle_ratio,
-            oracle_rel_error=oracle_err,
-        ))
-    return SweepResult(
-        kind=spec.kind,
-        swept_name=column,
-        rows=tuple(rows),
-        include_oracle=spec.include_oracle,
-    )
-
-
-def _format(value: float) -> str:
-    return f"{value:.12g}"
+    # A failing check names the first row it failed on; a row below it may
+    # still fail a later check, so the rows below are evaluated again until
+    # they all pass.  An error that names no row comes from a check no swept
+    # value reaches, which row 0 fails first.  Rows that fail may overflow or
+    # divide by zero before their check sees them: numpy stays quiet.
+    rows, failed = len(values), None
+    with np.errstate(all="ignore"):
+        while rows:
+            try:
+                result = _evaluate(spec, values[:rows], table)
+                break
+            except Exception as exc:
+                column_error = exc
+                rows = failed = exc.row if isinstance(exc, RowFailure) else 0
+    if failed is None:
+        return result
+    value = values.tolist()[failed]
+    try:
+        _evaluate(spec, value, table)
+    except Exception as exc:
+        raise SweepStepError(failed, value) from exc
+    raise RuntimeError(f"sweep row {failed} failed as a column only") from column_error
 
 
 def emit_csv(result: SweepResult, destination: str | Path) -> None:
@@ -224,23 +314,17 @@ def emit_csv(result: SweepResult, destination: str | Path) -> None:
         OSError: With the destination path in the message.
     """
     header = [result.swept_name, *_CAP_COLUMNS, "ratio", "loss_db", "flags"]
+    cells = ["%.12g"] * 9 + ["%s"]
     if result.include_oracle:
         header += list(_ORACLE_COLUMNS)
+        cells += ["%.12g"] * 2
+    row_format = ",".join(cells) + "\n"
+    columns = [column.tolist() for column in result.numeric_columns()]
+    columns.insert(9, ["|".join(flags) for flags in result.flags])
+    text = ",".join(header) + "\n" + "".join(row_format % row for row in zip(*columns))
     try:
         with open(destination, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            for row in result.rows:
-                record = [
-                    _format(row.swept_value),
-                    _format(row.c_x_tx), _format(row.c_x_rx), _format(row.c_gb_rx),
-                    _format(row.c_l), _format(row.c_b), _format(row.c_c),
-                    _format(row.ratio), _format(row.loss_db),
-                    "|".join(row.flags),
-                ]
-                if result.include_oracle:
-                    record += [_format(row.oracle_ratio), _format(row.oracle_rel_error)]
-                writer.writerow(record)
+            handle.write(text)
     except OSError as exc:
         raise OSError(f"cannot write sweep CSV to {str(destination)!r}: {exc}") from exc
 
@@ -266,23 +350,21 @@ def read_sweep_csv(path: str | Path) -> SweepResult:
     if header != expected:
         raise ValueError(f"{path}: unexpected header {header}")
 
-    rows = []
-    for record in records[1:]:
+    body = records[1:]
+    for record in body:
         if len(record) != len(header):
             raise ValueError(f"{path}: row width {len(record)} != header width {len(header)}")
-        flags = tuple(record[9].split("|")) if record[9] else ()
-        rows.append(SweepRow(
-            swept_value=float(record[0]),
-            c_x_tx=float(record[1]), c_x_rx=float(record[2]), c_gb_rx=float(record[3]),
-            c_l=float(record[4]), c_b=float(record[5]), c_c=float(record[6]),
-            ratio=float(record[7]), loss_db=float(record[8]),
-            flags=flags,
-            oracle_ratio=float(record[10]) if include_oracle else None,
-            oracle_rel_error=float(record[11]) if include_oracle else None,
-        ))
+    numbers = [
+        np.array([float(record[i]) for record in body]) for i in range(len(header)) if i != 9
+    ]
     return SweepResult(
         kind=column_to_kind[header[0]],
         swept_name=header[0],
-        rows=tuple(rows),
-        include_oracle=include_oracle,
+        swept=numbers[0],
+        capacitance=dict(zip(_CAP_COLUMNS, numbers[1:7])),
+        ratio=numbers[7],
+        loss_db=numbers[8],
+        flags=tuple(tuple(record[9].split("|")) if record[9] else () for record in body),
+        oracle_ratio=numbers[9] if include_oracle else None,
+        oracle_rel_error=numbers[10] if include_oracle else None,
     )

@@ -13,6 +13,10 @@ Implements every algebraic form of the channel model:
 plus dB conversion and :func:`compare_closed_forms`, which evaluates all
 applicable forms against the nodal oracle and fills regime flags.
 
+A :class:`ChannelScenario` may hold numpy columns (one row per sweep step);
+``full_transfer``, ``regime_flags``, ``ratio_to_db`` and ``relative_error``
+then give one value per row (see :mod:`hbc_channel.columns`).
+
 Note on the full form: its denominator and the nodal solution of the
 reconstructed circuit differ by one cross term that swaps the Tx and Rx
 return-path capacitances; the two coincide exactly when ``c_x_tx == c_x_rx``
@@ -26,6 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .columns import fails, holds
 from .constants import (
     COUPLED_COUPLING_F,
     DEGENERATE_DENOMINATOR,
@@ -48,7 +55,7 @@ class DegenerateScenarioError(ArithmeticError):
 
 
 def _checked_ratio(numerator: float, denominator: float, context: str) -> float:
-    if denominator < DEGENERATE_DENOMINATOR:
+    if fails(denominator < DEGENERATE_DENOMINATOR):
         raise DegenerateScenarioError(
             f"{context}: denominator {denominator:.3e} below {DEGENERATE_DENOMINATOR:.0e}"
         )
@@ -57,7 +64,7 @@ def _checked_ratio(numerator: float, denominator: float, context: str) -> float:
 
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
-        if not (value > 0 and math.isfinite(value)):
+        if not holds((value > 0) & (value < math.inf)):
             raise ValueError(f"{name} must be positive, got {value}")
 
 
@@ -96,7 +103,7 @@ class ChannelScenario:
             c_x_tx=self.c_x_tx, c_x_rx=self.c_x_rx, c_gb_rx=self.c_gb_rx,
             c_l=self.c_l, c_b=self.c_b,
         )
-        if self.c_c < 0 or not math.isfinite(self.c_c):
+        if not holds((self.c_c >= 0) & (self.c_c < math.inf)):
             raise ValueError(f"c_c must be nonnegative, got {self.c_c}")
 
     def has_full_geometry(self) -> bool:
@@ -297,15 +304,21 @@ def geometric_transfer(
 def ratio_to_db(r: float) -> float:
     """Voltage ratio in dB: 20*log10(r).  Negative for r < 1.
 
-    Channel *loss* is the negative of this value.
+    Channel *loss* is the negative of this value.  A column is converted row
+    by row with ``math.log10``: numpy's log10 need not round the same way.
     """
-    if not (r > 0 and math.isfinite(r)):
+    if not holds((r > 0) & (r < math.inf)):
         raise ValueError(f"ratio must be positive, got {r}")
+    if isinstance(r, np.ndarray):
+        return 20.0 * np.array(list(map(math.log10, r.tolist())))
     return 20.0 * math.log10(r)
 
 
 def relative_error(a: float, b: float) -> float:
-    """Symmetric relative disagreement |a - b| / max(|a|, |b|)."""
+    """Symmetric relative disagreement |a - b| / max(|a|, |b|), 0 where both are 0."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        scale = np.maximum(abs(a), abs(b))
+        return np.divide(abs(a - b), scale, out=np.zeros(scale.shape), where=scale != 0.0)
     scale = max(abs(a), abs(b))
     if scale == 0.0:
         return 0.0
@@ -316,6 +329,13 @@ def relative_error(a: float, b: float) -> float:
 # magnitude larger" when checking the simplification preconditions.
 _APPROXIMATION_MARGIN = 10.0
 
+_FLAG_NAMES = ("distant", "coupled", "invalid-approximation")
+# Flag tuple by bit code: bit i set means _FLAG_NAMES[i] fired.
+_FLAG_SETS = tuple(
+    tuple(name for bit, name in enumerate(_FLAG_NAMES) if code >> bit & 1)
+    for code in range(2 ** len(_FLAG_NAMES))
+)
+
 
 def regime_flags(s: ChannelScenario) -> tuple[str, ...]:
     """Classify a scenario against the model's regime thresholds.
@@ -325,18 +345,18 @@ def regime_flags(s: ChannelScenario) -> tuple[str, ...]:
     * ``invalid-approximation``: the simplified forms' preconditions
       (c_b and c_l + c_gb_rx an order of magnitude above the return paths)
       do not hold.
+
+    A scenario of columns gives a list with one flag tuple per row.
     """
-    flags: list[str] = []
-    if s.c_c < DISTANT_COUPLING_F:
-        flags.append("distant")
-    if s.c_c > COUPLED_COUPLING_F:
-        flags.append("coupled")
-    if (
-        _APPROXIMATION_MARGIN * s.c_x_rx > s.c_gb_rx + s.c_l
-        or _APPROXIMATION_MARGIN * max(s.c_x_tx, s.c_x_rx) > s.c_b
-    ):
-        flags.append("invalid-approximation")
-    return tuple(flags)
+    invalid = (
+        (_APPROXIMATION_MARGIN * s.c_x_rx > s.c_gb_rx + s.c_l)
+        | (_APPROXIMATION_MARGIN * s.c_x_tx > s.c_b)
+        | (_APPROXIMATION_MARGIN * s.c_x_rx > s.c_b)
+    )
+    code = (s.c_c < DISTANT_COUPLING_F) + 2 * (s.c_c > COUPLED_COUPLING_F) + 4 * invalid
+    if isinstance(code, np.ndarray):
+        return [_FLAG_SETS[c] for c in code.tolist()]
+    return _FLAG_SETS[code]
 
 
 def compare_closed_forms(s: ChannelScenario, frequency: float = 1e5) -> TransferReport:

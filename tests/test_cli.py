@@ -156,6 +156,23 @@ class TestSweep:
         header = out.read_text().splitlines()[0]
         assert header.endswith("oracle_ratio,oracle_rel_error")
 
+    def test_degenerate_row_exits_2(self, tmp_path):
+        """Tiny capacitances leave the full-form denominator above the
+        degenerate limit only while the devices couple; the first row at
+        decouple_m (step 4, 0.5 m) fails and its error sets the exit code."""
+        config = tmp_path / "degenerate.cfg"
+        config.write_text(
+            "[tx]\nradius_m = 0.03\nplate_separation_m = 0.005\nreturn_path_f = 1e-21\n"
+            "[rx]\nreturn_path_f = 1e-21\nground_body_f = 1e-21\nload_f = 1e-21\n"
+            "[body]\nc_b_f = 1e-10\n"
+            "[link]\nk_f_per_m = 2e-12\n"
+            "[sweep]\nkind = separation\nmin = 0.1\nmax = 1.0\nsteps = 10\n"
+        )
+        proc = run_cli("sweep", str(config), "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == 2
+        assert "numerical error: sweep step 4 (value 0.5): full_transfer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_config_without_sweep_section_exits_1(self):
         proc = run_cli(
             "sweep", str(CONFIG_DIR / "default_direct.cfg"), "--out", "/tmp/x.csv"
@@ -188,6 +205,19 @@ class TestResonance:
         proc = run_cli("resonance", str(config))
         assert proc.returncode == 2
         assert "numerical error" in proc.stderr
+
+    def test_body_capacitance_disagreeing_with_table_exits_1(self, tmp_path):
+        """[body] c_b_f must agree with the table value at the configured
+        dielectric thickness, as it must for every other subcommand."""
+        config = tmp_path / "both.cfg"
+        config.write_text(
+            f"[body]\nc_b_f = 200e-12\ndielectric_thickness_m = 0.40\n"
+            f"dielectric_table = {CONFIG_DIR / 'dielectric_cb.csv'}\n"
+            "[resonance]\ninductance_h = 1e-3\n"
+        )
+        proc = run_cli("resonance", str(config))
+        assert proc.returncode == 1
+        assert "[body] c_b_f" in proc.stderr
 
     def test_missing_capacitance_exits_1(self, tmp_path):
         config = tmp_path / "nocap.cfg"

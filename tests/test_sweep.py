@@ -6,6 +6,7 @@ import pytest
 from hbc_channel import (
     ConfigError,
     SweepSpec,
+    SweepStepError,
     emit_csv,
     load_config_file,
     read_sweep_csv,
@@ -218,12 +219,17 @@ class TestSweepSpecValidation:
             SweepSpec(kind="rx_position", start=0.0, stop=1.0, steps=5, base=base)
 
     def test_step_error_carries_index(self, config_dir):
-        """A failing step reports its index and swept value."""
+        """A failing step reports its index and swept value, with the row's
+        own error as the cause."""
         base = load_config_file(config_dir / "arm_sweep.cfg").scenario
         # Sweeping across the Tx position makes one row's separation zero.
         spec = SweepSpec(kind="rx_position", start=0.94, stop=1.0, steps=3, base=base)
-        with pytest.raises(ConfigError, match=r"sweep step 1 \(value 0\.97\)"):
+        with pytest.raises(SweepStepError, match=r"sweep step 1 \(value 0\.97\)") as info:
             run_sweep(spec)
+        assert info.value.step == 1
+        assert info.value.value == 0.97
+        assert isinstance(info.value.__cause__, ConfigError)
+        assert "positions coincide" in str(info.value.__cause__)
 
 
 class TestCsvEmission:
