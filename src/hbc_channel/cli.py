@@ -39,7 +39,7 @@ from .resonance import (
     extract_body_capacitance,
 )
 from .sweep import SweepSpec, SweepStepError, emit_csv, run_sweep
-from .transfer import DegenerateScenarioError, compare_closed_forms, ratio_to_db
+from .transfer import CAPACITANCE_NAMES, DegenerateScenarioError, compare_closed_forms
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -111,30 +111,20 @@ def _cmd_eval(args) -> int:
     scenario = build_scenario(parsed.scenario)
     report = compare_closed_forms(scenario, parsed.scenario.frequency_hz)
 
+    capacitances = {f"{name}_f": getattr(scenario, name) for name in CAPACITANCE_NAMES}
     if args.dump_network and not args.json:
-        net = build_channel_network(
-            scenario.c_x_tx, scenario.c_x_rx, scenario.c_gb_rx,
-            scenario.c_l, scenario.c_b, scenario.c_c,
-        )
+        net = build_channel_network(*capacitances.values())
         print("network:")
         for line in net.dump().splitlines():
             print(f"  {line}")
 
-    capacitances = {
-        "c_x_tx_f": scenario.c_x_tx,
-        "c_x_rx_f": scenario.c_x_rx,
-        "c_gb_rx_f": scenario.c_gb_rx,
-        "c_l_f": scenario.c_l,
-        "c_b_f": scenario.c_b,
-        "c_c_f": scenario.c_c,
-    }
     if args.json:
         payload = {
             "config": str(parsed.path),
             "frequency_hz": report.frequency_hz,
             "capacitances": capacitances,
             "ratios": report.ratios,
-            "loss_db": {name: -ratio_to_db(v) for name, v in report.ratios.items()},
+            "loss_db": {name: report.loss_db(name) for name in report.ratios},
             "relative_errors": report.relative_errors,
             "flags": list(report.flags),
         }
@@ -149,11 +139,11 @@ def _cmd_eval(args) -> int:
         if name not in report.ratios:
             continue
         ratio = report.ratios[name]
-        db = ratio_to_db(ratio)
+        loss = report.loss_db(name)
         if args.db:
-            print(f"  {_RATIO_LABELS[name]:<19} loss {-db:8.2f} dB   (ratio {ratio:.6g})")
+            print(f"  {_RATIO_LABELS[name]:<19} loss {loss:8.2f} dB   (ratio {ratio:.6g})")
         else:
-            print(f"  {_RATIO_LABELS[name]:<19} {ratio:.6g}   ({db:.2f} dB)")
+            print(f"  {_RATIO_LABELS[name]:<19} {ratio:.6g}   ({-loss:.2f} dB)")
     print("relative errors:")
     for pair in sorted(report.relative_errors):
         print(f"  {pair:<28} {report.relative_errors[pair]:.3e}")

@@ -35,6 +35,7 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .columns import fails
-from .constants import DECOUPLING_DISTANCE_M, EQS_MAX_FREQUENCY_HZ
+from .constants import DECOUPLING_DISTANCE_M, DEFAULT_FREQUENCY_HZ, EQS_MAX_FREQUENCY_HZ
 from .geometry import (
     CouplingConstant,
     DeviceGeometry,
@@ -62,13 +63,14 @@ from .resonance import (
 )
 from .transfer import ChannelScenario, GeometricProvenance, relative_error
 
-DEFAULT_FREQUENCY_HZ = 1e5
-
 # Direct values must agree with their geometric derivation to this relative
 # tolerance when a config supplies both.
 CONSISTENCY_REL_TOL = 1e-9
 
 TABLE_DIR_ENV = "HBC_TABLE_DIR"
+
+# Largest radius whose plate area pi*a^2 is a finite float.
+MAX_RADIUS_M = math.sqrt(sys.float_info.max / math.pi)
 
 
 class ConfigError(ValueError):
@@ -355,6 +357,10 @@ def _device_geometry(side: SideConfig, name: str) -> DeviceGeometry | None:
         raise ConfigError(
             f"missing required parameter [{name}] plate_separation_m "
             "(required alongside radius_m)"
+        )
+    if fails(side.radius_m > MAX_RADIUS_M):
+        raise ConfigError(
+            f"[{name}] radius_m: plate area pi*a^2 overflows for radius {side.radius_m:.6g} m"
         )
     try:
         return DeviceGeometry(side.radius_m, side.plate_separation_m)

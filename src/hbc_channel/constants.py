@@ -14,6 +14,9 @@ EPSILON_0 = 8.8541878128e-12
 # functions themselves are frequency-flat.
 EQS_MAX_FREQUENCY_HZ = 1e6
 
+# Analysis frequency of the nodal oracle when none is configured, Hz.
+DEFAULT_FREQUENCY_HZ = 1e5
+
 # Inter-device coupling regime thresholds, F.  Below DISTANT the coupling
 # branch is negligible against the return-path capacitances; above COUPLED it
 # dominates the channel behaviour at small separations.

@@ -58,12 +58,16 @@ class ResonanceCircuit:
         return 1.0 / (2.0 * math.pi * math.sqrt(self.inductance * self.capacitance_true))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencySweep:
-    """Magnitude response |V_node/V_src| sampled on an ascending grid."""
+    """Magnitude response |V_node/V_src| sampled on an ascending grid.
 
-    frequencies: tuple[float, ...]
-    magnitudes: tuple[float, ...]
+    :func:`lc_response` gives read-only arrays of its own; any float
+    sequences are accepted and held as given.
+    """
+
+    frequencies: np.ndarray
+    magnitudes: np.ndarray
 
     def __post_init__(self) -> None:
         if len(self.frequencies) == 0:
@@ -73,12 +77,11 @@ class FrequencySweep:
                 f"grid/magnitude length mismatch: {len(self.frequencies)} vs "
                 f"{len(self.magnitudes)}"
             )
-        freqs = np.asarray(self.frequencies)
-        if not np.all(np.diff(freqs) > 0):
+        if not np.all(np.diff(self.frequencies) > 0):
             raise ValueError("sweep grid must be strictly ascending")
-        if freqs[0] <= 0:
+        if self.frequencies[0] <= 0:
             raise ValueError("sweep frequencies must be positive")
-        if any(m < 0 for m in self.magnitudes):
+        if np.min(self.magnitudes) < 0:
             raise ValueError("sweep magnitudes must be nonnegative")
 
 
@@ -103,14 +106,16 @@ def lc_response(circuit: ResonanceCircuit, grid) -> FrequencySweep:
     frequency (the inductor blocks), with the global maximum near the
     resonant frequency for small R.
     """
-    freqs = np.asarray(grid, dtype=float)
+    freqs = np.array(grid, dtype=float)  # a copy: the caller keeps its grid
     if freqs.size == 0:
         raise ValueError("frequency grid is empty")
     w = 2.0 * math.pi * freqs
     x_c = 1.0 / (w * circuit.capacitance_true)
     x_l = w * circuit.inductance
     magnitude = x_c / np.sqrt(circuit.series_resistance**2 + (x_l - x_c) ** 2)
-    return FrequencySweep(tuple(freqs.tolist()), tuple(magnitude.tolist()))
+    freqs.flags.writeable = False
+    magnitude.flags.writeable = False
+    return FrequencySweep(freqs, magnitude)
 
 
 def find_resonant_frequency(sweep: FrequencySweep) -> float:
@@ -128,7 +133,7 @@ def find_resonant_frequency(sweep: FrequencySweep) -> float:
     """
     if len(sweep.frequencies) < 3:
         raise ValueError("peak refinement needs at least 3 sweep points")
-    mags = np.asarray(sweep.magnitudes)
+    mags = sweep.magnitudes
     if np.max(mags) == np.min(mags):
         raise FlatSweepError("sweep is flat; no resonant peak to locate")
     peak = int(np.argmax(mags))
@@ -140,7 +145,8 @@ def find_resonant_frequency(sweep: FrequencySweep) -> float:
     if mags[peak - 1] <= 0 or mags[peak + 1] <= 0:
         return float(sweep.frequencies[peak])
 
-    x0, x1, x2 = sweep.frequencies[peak - 1 : peak + 2]
+    # Python floats, so that x**2 below is libm pow for any sequence type.
+    x0, x1, x2 = map(float, sweep.frequencies[peak - 1 : peak + 2])
     y0, y1, y2 = np.log(mags[peak - 1 : peak + 2])
     denominator = y0 * (x1 - x2) + y1 * (x2 - x0) + y2 * (x0 - x1)
     if denominator <= 0:

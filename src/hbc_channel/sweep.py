@@ -26,7 +26,9 @@ import numpy as np
 from .columns import RowFailure
 from .config import ConfigError, ScenarioConfig, build_scenario, load_dielectric_table
 from .network import build_channel_network, solve_transfer
-from .transfer import ChannelScenario, full_transfer, ratio_to_db, regime_flags, relative_error
+from .transfer import (
+    CAPACITANCE_NAMES, ChannelScenario, full_transfer, ratio_to_db, regime_flags, relative_error,
+)
 
 
 def _both_radii(config: ScenarioConfig, radius: float) -> ScenarioConfig:
@@ -72,8 +74,7 @@ SWEEP_KINDS = {
 
 SWEPT_COLUMN = {kind: column for kind, (column, _, _) in SWEEP_KINDS.items()}
 
-_SCENARIO_FIELDS = ("c_x_tx", "c_x_rx", "c_gb_rx", "c_l", "c_b", "c_c")
-_CAP_COLUMNS = tuple(f"{name}_f" for name in _SCENARIO_FIELDS)
+_CAP_COLUMNS = tuple(f"{name}_f" for name in CAPACITANCE_NAMES)
 _ORACLE_COLUMNS = ("oracle_ratio", "oracle_rel_error")
 
 
@@ -114,8 +115,11 @@ class SweepRow:
 class SweepResult:
     """A sweep as columns: one array per CSV column and one flag tuple per row.
 
-    ``capacitance`` maps each capacitance CSV column (e.g. ``c_c_f``) to its
-    array; the oracle columns are ``None`` when the oracle was not run.
+    ``swept`` holds the swept values, ``capacitance`` maps each capacitance
+    CSV column (e.g. ``c_c_f``) to its array, ``ratio`` and ``loss_db`` hold
+    the full-form transfer and its loss, and ``flags`` holds one regime-flag
+    tuple per row.  The oracle columns are ``None`` when the oracle was not
+    run.  :attr:`rows` gives the same values row by row.
     """
 
     kind: str
@@ -136,21 +140,6 @@ class SweepResult:
     def rows(self) -> "SweepRows":
         """The rows, built from the columns when first indexed or iterated."""
         return SweepRows(self)
-
-    def swept_values(self) -> np.ndarray:
-        return self.swept
-
-    def ratios(self) -> np.ndarray:
-        return self.ratio
-
-    def losses_db(self) -> np.ndarray:
-        return self.loss_db
-
-    def capacitances(self, column: str) -> np.ndarray:
-        """Capacitance column by CSV name (e.g. ``c_c_f``)."""
-        if column not in self.capacitance:
-            raise KeyError(f"unknown capacitance column {column!r}")
-        return self.capacitance[column]
 
     def numeric_columns(self) -> list[np.ndarray]:
         """Every numeric column in CSV order (flags excluded)."""
@@ -243,13 +232,12 @@ def _evaluate(spec: SweepSpec, values, table) -> SweepResult:
     """
     column, drive, _ = SWEEP_KINDS[spec.kind]
     scenario = build_scenario(drive(spec.base, values), table)
+    capacitances = [getattr(scenario, name) for name in CAPACITANCE_NAMES]
     if isinstance(values, np.ndarray):
         # Quantities the swept value does not reach become constant columns.
-        scenario = ChannelScenario(
-            *(np.broadcast_to(getattr(scenario, name), values.shape) for name in _SCENARIO_FIELDS)
-        )
+        capacitances = [np.broadcast_to(c, values.shape) for c in capacitances]
+        scenario = ChannelScenario(*capacitances)
     ratio = full_transfer(scenario)
-    capacitances = [getattr(scenario, name) for name in _SCENARIO_FIELDS]
     oracle_ratio = oracle_error = None
     if spec.include_oracle:
         net = build_channel_network(*capacitances)

@@ -28,25 +28,19 @@ relative errors instead of being silently corrected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .columns import fails, holds
 from .constants import (
     COUPLED_COUPLING_F,
+    DEFAULT_FREQUENCY_HZ,
     DEGENERATE_DENOMINATOR,
     DISTANT_COUPLING_F,
     EPSILON_0,
 )
-from .geometry import (
-    CouplingConstant,
-    DeviceGeometry,
-    coupling_capacitance,
-    ground_to_body_capacitance,
-    plate_to_plate_capacitance,
-    return_path_capacitance,
-)
+from .geometry import CouplingConstant, DeviceGeometry, return_path_capacitance
 from .network import build_channel_network, solve_transfer
 
 
@@ -99,10 +93,7 @@ class ChannelScenario:
     provenance: GeometricProvenance | None = None
 
     def __post_init__(self) -> None:
-        _require_positive(
-            c_x_tx=self.c_x_tx, c_x_rx=self.c_x_rx, c_gb_rx=self.c_gb_rx,
-            c_l=self.c_l, c_b=self.c_b,
-        )
+        _require_positive(**{n: getattr(self, n) for n in CAPACITANCE_NAMES if n != "c_c"})
         if not holds((self.c_c >= 0) & (self.c_c < math.inf)):
             raise ValueError(f"c_c must be nonnegative, got {self.c_c}")
 
@@ -113,35 +104,10 @@ class ChannelScenario:
             p.tx_geom, p.rx_geom, p.x_tx, p.x_rx, p.c_f,
         )
 
-    def validate_provenance(self, rel_tol: float = 1e-12) -> None:
-        """Check stored capacitances against their geometric derivation.
 
-        Raises:
-            ValueError: If any derived value disagrees with the stored one by
-                more than ``rel_tol`` relative.
-        """
-        p = self.provenance
-        if p is None:
-            return
-
-        def check(name: str, stored: float, derived: float) -> None:
-            if relative_error(stored, derived) > rel_tol:
-                raise ValueError(
-                    f"scenario {name}={stored:.15g} disagrees with geometric "
-                    f"derivation {derived:.15g}"
-                )
-
-        if p.tx_geom is not None and p.x_tx is not None:
-            check("c_x_tx", self.c_x_tx, return_path_capacitance(p.tx_geom, p.x_tx))
-        if p.rx_geom is not None and p.x_rx is not None:
-            check("c_x_rx", self.c_x_rx, return_path_capacitance(p.rx_geom, p.x_rx))
-        if p.rx_geom is not None and p.c_f is not None:
-            derived_gb = ground_to_body_capacitance(
-                plate_to_plate_capacitance(p.rx_geom), p.c_f
-            )
-            check("c_gb_rx", self.c_gb_rx, derived_gb)
-        if p.tx_geom is not None and p.d is not None and p.k is not None:
-            check("c_c", self.c_c, coupling_capacitance(p.tx_geom, p.d, p.k))
+# The six capacitance fields of a scenario, in the order of the sweep CSV
+# columns and of build_channel_network's parameters.
+CAPACITANCE_NAMES = tuple(f.name for f in fields(ChannelScenario) if f.name != "provenance")
 
 
 @dataclass(frozen=True)
@@ -157,7 +123,7 @@ class TransferReport:
     ratios: dict[str, float]
     relative_errors: dict[str, float]
     flags: tuple[str, ...]
-    frequency_hz: float = field(default=1e5)
+    frequency_hz: float = DEFAULT_FREQUENCY_HZ
 
     def loss_db(self, name: str) -> float:
         """Channel loss of one form in dB (positive for attenuation)."""
@@ -359,7 +325,9 @@ def regime_flags(s: ChannelScenario) -> tuple[str, ...]:
     return _FLAG_SETS[code]
 
 
-def compare_closed_forms(s: ChannelScenario, frequency: float = 1e5) -> TransferReport:
+def compare_closed_forms(
+    s: ChannelScenario, frequency: float = DEFAULT_FREQUENCY_HZ
+) -> TransferReport:
     """Evaluate every applicable closed form plus the nodal oracle.
 
     Geometric forms are included when the scenario carries full geometric
@@ -388,7 +356,7 @@ def compare_closed_forms(s: ChannelScenario, frequency: float = 1e5) -> Transfer
                 distant=False, d=p.d, k=p.k,
             )
 
-    net = build_channel_network(s.c_x_tx, s.c_x_rx, s.c_gb_rx, s.c_l, s.c_b, s.c_c)
+    net = build_channel_network(*(getattr(s, name) for name in CAPACITANCE_NAMES))
     ratios["oracle"] = solve_transfer(net, frequency).ratio.real
 
     errors: dict[str, float] = {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,12 @@ from hbc_channel import CapNetwork, ChannelScenario, solve_transfer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
+
+# Child interpreters (`python -m hbc_channel`) import the package from this
+# checkout too, as this process does through `pythonpath` in pyproject.toml.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture

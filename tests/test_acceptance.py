@@ -178,8 +178,8 @@ def test_criterion_5_trend_reproduction():
         return result, time.perf_counter() - started
 
     separation, t_sep = timed_sweep("separation_sweep.cfg")
-    d = separation.swept_values()
-    losses = separation.losses_db()
+    d = separation.swept
+    losses = separation.loss_db
     far = losses[d >= 0.5]
     near = losses[d < 0.5]
     sep_ok = (far.max() - far.min() < 1.0) and all(
@@ -187,23 +187,23 @@ def test_criterion_5_trend_reproduction():
     )
 
     area, t_area = timed_sweep("area_sweep.cfg")
-    a_vals = area.swept_values()
-    c_c = area.capacitances("c_c_f")
+    a_vals = area.swept
+    c_c = area.capacitance["c_c_f"]
     slope = (a_vals @ c_c) / (a_vals @ a_vals)
     area_residual = float(np.max(np.abs(c_c - slope * a_vals)) / np.max(c_c))
     area_ok = area_residual < 1e-9
 
     radius, t_rad = timed_sweep("radius_sweep.cfg")
-    r_vals = radius.swept_values()
+    r_vals = radius.swept
     radius_ok = True
     for column in ("c_x_tx_f", "c_x_rx_f"):
-        values = radius.capacitances(column)
+        values = radius.capacitance[column]
         slope = (r_vals @ values) / (r_vals @ r_vals)
         if float(np.max(np.abs(values - slope * r_vals)) / np.max(values)) >= 1e-9:
             radius_ok = False
 
     arm, t_arm = timed_sweep("arm_sweep.cfg")
-    arm_losses = arm.losses_db()
+    arm_losses = arm.loss_db
     peak = int(np.argmax(arm_losses))
     arm_ok = 0 < peak < len(arm_losses) - 1
 

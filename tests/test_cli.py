@@ -81,6 +81,15 @@ class TestEval:
         assert proc.returncode == 1
         assert key in proc.stderr
 
+    def test_overflowing_radius_exits_1_naming_key(self, tmp_path):
+        """pi*a^2 overflows a float for a 1e200 m radius."""
+        config = geometric_config(tmp_path)
+        config.write_text(config.read_text().replace("radius_m = 0.03", "radius_m = 1e200"))
+        proc = run_cli("eval", str(config))
+        assert proc.returncode == 1
+        assert "[tx] radius_m" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_db_mode_prints_losses(self):
         proc = run_cli("eval", str(CONFIG_DIR / "default_direct.cfg"), "--db")
         assert proc.returncode == 0
@@ -171,6 +180,16 @@ class TestSweep:
         proc = run_cli("sweep", str(config), "--out", str(tmp_path / "out.csv"))
         assert proc.returncode == 2
         assert "numerical error: sweep step 4 (value 0.5): full_transfer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_overflowing_radius_row_exits_1_naming_key(self, tmp_path):
+        config = tmp_path / "radius.cfg"
+        config.write_text(
+            (CONFIG_DIR / "radius_sweep.cfg").read_text().replace("max = 0.05", "max = 1e200")
+        )
+        proc = run_cli("sweep", str(config), "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == 1
+        assert "sweep step 1 (value 5.26316e+198): [tx] radius_m" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_config_without_sweep_section_exits_1(self):

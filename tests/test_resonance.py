@@ -68,23 +68,46 @@ class TestLcResponse:
         with pytest.raises(ValueError, match="empty"):
             lc_response(REFERENCE, [])
 
+    def test_sweep_holds_read_only_copies(self):
+        grid = default_frequency_grid()
+        sweep = lc_response(REFERENCE, grid)
+        assert isinstance(sweep.frequencies, np.ndarray)
+        assert sweep.frequencies is not grid
+        assert np.array_equal(sweep.frequencies, grid)
+        assert not sweep.frequencies.flags.writeable
+        assert not sweep.magnitudes.flags.writeable
+        assert grid.flags.writeable
+
 
 class TestFrequencySweepValidation:
+    """Each check runs on tuples and on numpy arrays."""
+
+    INPUTS = (tuple, np.array)
+
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            FrequencySweep((1.0, 2.0), (0.5,))
+        for as_input in self.INPUTS:
+            with pytest.raises(ValueError, match="mismatch"):
+                FrequencySweep(as_input((1.0, 2.0)), as_input((0.5,)))
 
     def test_rejects_unsorted_grid(self):
-        with pytest.raises(ValueError, match="ascending"):
-            FrequencySweep((2.0, 1.0), (0.5, 0.5))
+        for as_input in self.INPUTS:
+            with pytest.raises(ValueError, match="ascending"):
+                FrequencySweep(as_input((2.0, 1.0)), as_input((0.5, 0.5)))
+
+    def test_rejects_nonpositive_frequency(self):
+        for as_input in self.INPUTS:
+            with pytest.raises(ValueError, match="positive"):
+                FrequencySweep(as_input((0.0, 1.0)), as_input((0.5, 0.5)))
 
     def test_rejects_negative_magnitude(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            FrequencySweep((1.0, 2.0), (0.5, -0.1))
+        for as_input in self.INPUTS:
+            with pytest.raises(ValueError, match="nonnegative"):
+                FrequencySweep(as_input((1.0, 2.0)), as_input((0.5, -0.1)))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            FrequencySweep((), ())
+        for as_input in self.INPUTS:
+            with pytest.raises(ValueError, match="nonempty"):
+                FrequencySweep(as_input(()), as_input(()))
 
 
 class TestFindResonantFrequency:
@@ -114,6 +137,24 @@ class TestFindResonantFrequency:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="at least 3"):
             find_resonant_frequency(FrequencySweep((1.0, 2.0), (0.1, 0.2)))
+
+    def test_array_sweep_matches_tuple_sweep_bitwise(self):
+        """The peak found on lc_response's arrays equals, bit for bit, the
+        peak found on the same values held as tuples of floats."""
+        rng = np.random.default_rng(73)
+        grid = default_frequency_grid()
+        for _ in range(200):
+            # Resonances between about 71 and 712 kHz, inside the grid.
+            circuit = ResonanceCircuit(
+                float(rng.uniform(1e-3, 10e-3)),
+                float(rng.uniform(50e-12, 500e-12)),
+                float(rng.uniform(1.0, 50.0)),
+            )
+            sweep = lc_response(circuit, grid)
+            as_tuples = FrequencySweep(
+                tuple(sweep.frequencies.tolist()), tuple(sweep.magnitudes.tolist())
+            )
+            assert find_resonant_frequency(sweep) == find_resonant_frequency(as_tuples)
 
     def test_peak_frequency_decreases_with_capacitance(self):
         grid = default_frequency_grid()

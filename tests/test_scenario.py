@@ -14,6 +14,10 @@ from hbc_channel import (
     shadowing_factor,
     CouplingConstant,
     DeviceGeometry,
+    coupling_capacitance,
+    ground_to_body_capacitance,
+    plate_to_plate_capacitance,
+    return_path_capacitance,
 )
 from hbc_channel.config import ScenarioConfig, SideConfig
 
@@ -127,7 +131,14 @@ class TestGeometricConfig:
         assert scenario.c_b == 150.838e-12
         assert scenario.c_gb_rx == pytest.approx(5.7569e-12, rel=1e-4)
         assert scenario.has_full_geometry()
-        scenario.validate_provenance()  # must not raise
+        # The stored values are the geometry laws at the recorded provenance.
+        p = scenario.provenance
+        assert scenario.c_x_tx == return_path_capacitance(p.tx_geom, p.x_tx)
+        assert scenario.c_x_rx == return_path_capacitance(p.rx_geom, p.x_rx)
+        assert scenario.c_gb_rx == ground_to_body_capacitance(
+            plate_to_plate_capacitance(p.rx_geom), p.c_f
+        )
+        assert scenario.c_c == coupling_capacitance(p.tx_geom, p.d, p.k)
 
     def test_consistent_direct_and_geometric_accepted(self, tmp_path):
         text = DIRECT_CFG.replace(

@@ -38,33 +38,33 @@ def separation_result():
 class TestSeparationSweep:
     def test_row_count_and_monotone_swept_column(self, separation_result):
         assert len(separation_result.rows) == 46
-        values = separation_result.swept_values()
+        values = separation_result.swept
         assert np.all(np.diff(values) > 0)
 
     def test_flat_band_beyond_decoupling(self, separation_result):
         """Loss varies less than 1 dB across all rows at d >= 0.5 m."""
-        losses = separation_result.losses_db()
-        d = separation_result.swept_values()
+        losses = separation_result.loss_db
+        d = separation_result.swept
         far = losses[d >= 0.5]
         assert far.size >= 2
         assert far.max() - far.min() < 1.0
 
     def test_loss_strictly_improves_below_decoupling(self, separation_result):
         """Shrinking d below 0.5 m strictly lowers the loss."""
-        losses = separation_result.losses_db()
-        d = separation_result.swept_values()
+        losses = separation_result.loss_db
+        d = separation_result.swept
         near = losses[d < 0.5]
         assert near.size >= 2
         assert all(b > a for a, b in zip(near, near[1:]))  # loss grows with d
 
     def test_near_rows_lose_less_than_far_rows(self, separation_result):
-        losses = separation_result.losses_db()
-        d = separation_result.swept_values()
+        losses = separation_result.loss_db
+        d = separation_result.swept
         assert losses[d < 0.5].max() < losses[d >= 0.5].min() + 1e-9
 
     def test_coupling_column_zero_beyond_decoupling(self, separation_result):
-        c_c = separation_result.capacitances("c_c_f")
-        d = separation_result.swept_values()
+        c_c = separation_result.capacitance["c_c_f"]
+        d = separation_result.swept
         assert np.all(c_c[d >= 0.5] == 0.0)
         assert np.all(c_c[d < 0.5] > 0.0)
 
@@ -78,24 +78,24 @@ class TestAreaSweep:
     def test_coupling_linear_in_area(self, config_dir):
         """C_c column fits a line through the origin with residual < 1e-9."""
         result = run_sweep(spec_from_config(config_dir / "area_sweep.cfg"))
-        area = result.swept_values()
-        c_c = result.capacitances("c_c_f")
+        area = result.swept
+        c_c = result.capacitance["c_c_f"]
         slope = (area @ c_c) / (area @ area)
         residual = np.max(np.abs(c_c - slope * area)) / np.max(c_c)
         assert residual < 1e-9
 
     def test_received_ratio_grows_with_area(self, config_dir):
         result = run_sweep(spec_from_config(config_dir / "area_sweep.cfg"))
-        ratios = result.ratios()
+        ratios = result.ratio
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
 
 class TestRadiusSweep:
     def test_return_path_columns_linear_in_radius(self, config_dir):
         result = run_sweep(spec_from_config(config_dir / "radius_sweep.cfg"))
-        radius = result.swept_values()
+        radius = result.swept
         for column in ("c_x_tx_f", "c_x_rx_f"):
-            values = result.capacitances(column)
+            values = result.capacitance[column]
             slope = (radius @ values) / (radius @ radius)
             residual = np.max(np.abs(values - slope * radius)) / np.max(values)
             assert residual < 1e-9
@@ -110,7 +110,7 @@ class TestArmScenarioSweep:
         """Shadowing worsens toward the torso end while coupling improves
         small separations, so the loss column peaks at an interior row."""
         result = run_sweep(spec_from_config(config_dir / "arm_sweep.cfg"))
-        losses = result.losses_db()
+        losses = result.loss_db
         peak = int(np.argmax(losses))
         assert 0 < peak < len(losses) - 1
         assert losses[peak] > losses[0]
@@ -118,7 +118,7 @@ class TestArmScenarioSweep:
 
     def test_loss_improves_at_small_separation(self, config_dir):
         result = run_sweep(spec_from_config(config_dir / "arm_sweep.cfg"))
-        losses = result.losses_db()
+        losses = result.loss_db
         # Rx approaching the Tx: the last rows are the best of the sweep.
         assert losses[-1] == losses.min()
 
@@ -148,8 +148,8 @@ class TestPositionSweepMonotonicity:
             kind="rx_position", start=0.0, stop=1.0, steps=40, base=self.base_config()
         )
         result = run_sweep(spec)
-        c_x_rx = result.capacitances("c_x_rx_f")
-        ratios = result.ratios()
+        c_x_rx = result.capacitance["c_x_rx_f"]
+        ratios = result.ratio
         assert all(b > a for a, b in zip(c_x_rx, c_x_rx[1:]))
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
 
@@ -166,22 +166,22 @@ class TestPositionSweepMonotonicity:
             coupling_f=0.0,
         )
         spec = SweepSpec(kind="tx_position", start=0.0, stop=1.0, steps=20, base=base)
-        c_x_tx = run_sweep(spec).capacitances("c_x_tx_f")
+        c_x_tx = run_sweep(spec).capacitance["c_x_tx_f"]
         assert all(b > a for a, b in zip(c_x_tx, c_x_tx[1:]))
 
 
 class TestDielectricSweep:
     def test_body_capacitance_tracks_table(self, config_dir):
         result = run_sweep(spec_from_config(config_dir / "dielectric_sweep.cfg"))
-        c_b = result.capacitances("c_b_f")
+        c_b = result.capacitance["c_b_f"]
         assert all(b < a for a, b in zip(c_b, c_b[1:]))  # thicker -> smaller
-        losses = result.losses_db()
+        losses = result.loss_db
         assert all(b < a for a, b in zip(losses, losses[1:]))  # smaller C_B -> less loss
 
     def test_anchor_row_hit_exactly(self, config_dir):
         result = run_sweep(spec_from_config(config_dir / "dielectric_sweep.cfg"))
-        d = result.swept_values()
-        c_b = result.capacitances("c_b_f")
+        d = result.swept
+        c_b = result.capacitance["c_b_f"]
         at_anchor = c_b[np.isclose(d, 0.40)]
         assert at_anchor.size == 1
         assert at_anchor[0] == pytest.approx(150.838e-12, rel=1e-12)

@@ -177,11 +177,11 @@ def test_columns_equal_row_by_row_evaluation(kind, oracle, data):
     table = row_table(spec)
     rows = [evaluate_row(spec, value, table) for value in values]
 
-    assert result.swept_values().tolist() == values
+    assert result.swept.tolist() == values
     for name in FIELDS:
-        assert result.capacitances(f"{name}_f").tolist() == [row[name] for row in rows], name
-    assert result.ratios().tolist() == [row["ratio"] for row in rows]
-    assert result.losses_db().tolist() == [row["loss_db"] for row in rows]
+        assert result.capacitance[f"{name}_f"].tolist() == [row[name] for row in rows], name
+    assert result.ratio.tolist() == [row["ratio"] for row in rows]
+    assert result.loss_db.tolist() == [row["loss_db"] for row in rows]
     assert list(result.flags) == [row["flags"] for row in rows]
     if oracle:
         assert result.oracle_ratio.tolist() == [row["oracle_ratio"] for row in rows]

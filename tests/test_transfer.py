@@ -400,16 +400,3 @@ class TestScenarioValidation:
                 c_x_tx=0.5e-12, c_x_rx=0.5e-12, c_gb_rx=3e-12, c_l=10e-12,
                 c_b=150e-12, c_c=-1e-15,
             )
-
-    def test_provenance_validation_catches_mismatch(self):
-        geom = DeviceGeometry(0.03, 0.005)
-        s = ChannelScenario(
-            c_x_tx=1e-12,  # inconsistent with x=0.5 at a=3cm (1.0625 pF)
-            c_x_rx=0.5e-12,
-            c_gb_rx=3e-12,
-            c_l=10e-12,
-            c_b=150.838e-12,
-            provenance=GeometricProvenance(tx_geom=geom, x_tx=0.5),
-        )
-        with pytest.raises(ValueError, match="c_x_tx"):
-            s.validate_provenance()
