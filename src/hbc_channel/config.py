@@ -35,7 +35,6 @@ from __future__ import annotations
 import configparser
 import math
 import os
-import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,9 +67,6 @@ from .transfer import ChannelScenario, GeometricProvenance, relative_error
 CONSISTENCY_REL_TOL = 1e-9
 
 TABLE_DIR_ENV = "HBC_TABLE_DIR"
-
-# Largest radius whose plate area pi*a^2 is a finite float.
-MAX_RADIUS_M = math.sqrt(sys.float_info.max / math.pi)
 
 
 class ConfigError(ValueError):
@@ -358,14 +354,11 @@ def _device_geometry(side: SideConfig, name: str) -> DeviceGeometry | None:
             f"missing required parameter [{name}] plate_separation_m "
             "(required alongside radius_m)"
         )
-    if fails(side.radius_m > MAX_RADIUS_M):
-        raise ConfigError(
-            f"[{name}] radius_m: plate area pi*a^2 overflows for radius {side.radius_m:.6g} m"
-        )
     try:
         return DeviceGeometry(side.radius_m, side.plate_separation_m)
     except ValueError as exc:
-        raise ConfigError(f"[{name}] {exc}") from exc
+        key = "radius_m" if str(exc).startswith("radius_a") else "plate_separation_m"
+        raise ConfigError(f"[{name}] {key}: {exc}") from exc
 
 
 def _shadowing(side: SideConfig, name: str, profile: ShadowingProfile | None) -> float | None:
@@ -453,8 +446,7 @@ def build_scenario(
     the geometric inputs used are recorded as provenance on the scenario.
     ``table`` is the dielectric table ``config`` names, passed by callers that
     build many scenarios from one config; by default it is loaded on demand.
-    A swept input given as a numpy column gives a scenario of columns, and a
-    check failing on any row raises :class:`~hbc_channel.columns.RowFailure`.
+    A swept input given as a numpy column gives a scenario of columns.
 
     Raises:
         ConfigError: Naming the missing or inconsistent field.

@@ -24,6 +24,9 @@ import numpy as np
 from .columns import fails, holds
 from .constants import EPSILON_0
 
+# Largest radius whose plate area pi*a^2 is a finite float.
+MAX_RADIUS_M = math.sqrt(sys.float_info.max / math.pi)
+
 
 @dataclass(frozen=True)
 class DeviceGeometry:
@@ -38,8 +41,11 @@ class DeviceGeometry:
     thickness_t: float
 
     def __post_init__(self) -> None:
-        if not holds((self.radius_a > 0) & (self.radius_a < math.inf)):
-            raise ValueError(f"radius_a must be positive, got {self.radius_a}")
+        if not holds((self.radius_a > 0) & (self.radius_a <= MAX_RADIUS_M)):
+            raise ValueError(
+                f"radius_a must be positive and give a finite plate area pi*a^2 "
+                f"(at most {MAX_RADIUS_M:.6g} m), got {self.radius_a}"
+            )
         if not holds((self.thickness_t > 0) & (self.thickness_t < math.inf)):
             raise ValueError(f"thickness_t must be positive, got {self.thickness_t}")
 

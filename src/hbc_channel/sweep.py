@@ -23,11 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .columns import RowFailure
 from .config import ConfigError, ScenarioConfig, build_scenario, load_dielectric_table
-from .network import build_channel_network, solve_transfer
 from .transfer import (
-    CAPACITANCE_NAMES, ChannelScenario, full_transfer, ratio_to_db, regime_flags, relative_error,
+    CAPACITANCE_NAMES, ChannelScenario, full_transfer, oracle_ratio, ratio_to_db, regime_flags,
+    relative_error,
 )
 
 
@@ -238,11 +237,10 @@ def _evaluate(spec: SweepSpec, values, table) -> SweepResult:
         capacitances = [np.broadcast_to(c, values.shape) for c in capacitances]
         scenario = ChannelScenario(*capacitances)
     ratio = full_transfer(scenario)
-    oracle_ratio = oracle_error = None
+    oracle = oracle_error = None
     if spec.include_oracle:
-        net = build_channel_network(*capacitances)
-        oracle_ratio = solve_transfer(net, spec.base.frequency_hz).ratio.real
-        oracle_error = relative_error(ratio, oracle_ratio)
+        oracle = oracle_ratio(capacitances, spec.base.frequency_hz)
+        oracle_error = relative_error(ratio, oracle)
     return SweepResult(
         kind=spec.kind,
         swept_name=column,
@@ -251,7 +249,7 @@ def _evaluate(spec: SweepSpec, values, table) -> SweepResult:
         ratio=ratio,
         loss_db=-ratio_to_db(ratio),
         flags=tuple(regime_flags(scenario)),
-        oracle_ratio=oracle_ratio,
+        oracle_ratio=oracle,
         oracle_rel_error=oracle_error,
     )
 
@@ -268,28 +266,29 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     needs_table = drive(spec.base, spec.start).dielectric_thickness_m is not None
     table = load_dielectric_table(spec.base) if needs_table else None
     values = np.linspace(spec.start, spec.stop, spec.steps)
-    # A failing check names the first row it failed on; a row below it may
-    # still fail a later check, so the rows below are evaluated again until
-    # they all pass.  An error that names no row comes from a check no swept
-    # value reaches, which row 0 fails first.  Rows that fail may overflow or
-    # divide by zero before their check sees them: numpy stays quiet.
-    rows, failed = len(values), None
+    # Rows are independent, so a slice fails exactly when one of its rows
+    # does.  On failure, halve: rows below lo pass and [lo, hi) holds a
+    # failing row.  Rows that fail may overflow or divide by zero before
+    # their check sees them: numpy stays quiet.
     with np.errstate(all="ignore"):
-        while rows:
+        try:
+            return _evaluate(spec, values, table)
+        except Exception as exc:
+            column_error = exc
+        lo, hi = 0, len(values)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                result = _evaluate(spec, values[:rows], table)
-                break
-            except Exception as exc:
-                column_error = exc
-                rows = failed = exc.row if isinstance(exc, RowFailure) else 0
-    if failed is None:
-        return result
-    value = values.tolist()[failed]
+                _evaluate(spec, values[lo:mid], table)
+                lo = mid
+            except Exception:
+                hi = mid
+    value = values.tolist()[lo]
     try:
         _evaluate(spec, value, table)
     except Exception as exc:
-        raise SweepStepError(failed, value) from exc
-    raise RuntimeError(f"sweep row {failed} failed as a column only") from column_error
+        raise SweepStepError(lo, value) from exc
+    raise RuntimeError(f"sweep row {lo} failed as a column only") from column_error
 
 
 def emit_csv(result: SweepResult, destination: str | Path) -> None:

@@ -53,7 +53,11 @@ def _checked_ratio(numerator: float, denominator: float, context: str) -> float:
         raise DegenerateScenarioError(
             f"{context}: denominator {denominator:.3e} below {DEGENERATE_DENOMINATOR:.0e}"
         )
-    return numerator / denominator
+    # Positive inputs give a positive ratio unless the numerator underflowed.
+    ratio = numerator / denominator
+    if not holds(ratio > 0):
+        raise DegenerateScenarioError(f"{context}: ratio {ratio} is not positive")
+    return ratio
 
 
 def _require_positive(**values: float) -> None:
@@ -325,6 +329,21 @@ def regime_flags(s: ChannelScenario) -> tuple[str, ...]:
     return _FLAG_SETS[code]
 
 
+def oracle_ratio(capacitances, frequency: float) -> float:
+    """Nodal-solution transfer ratio of the six capacitances in
+    :data:`CAPACITANCE_NAMES` order (columns give one ratio per row).
+
+    Raises:
+        SingularNetworkError: Propagated from the nodal solve.
+        DegenerateScenarioError: If the ratio is not positive, which only
+            rounding in the solve gives for positive capacitances.
+    """
+    ratio = solve_transfer(build_channel_network(*capacitances), frequency).ratio.real
+    if not holds(ratio > 0):
+        raise DegenerateScenarioError(f"oracle: nodal ratio {ratio} is not positive")
+    return ratio
+
+
 def compare_closed_forms(
     s: ChannelScenario, frequency: float = DEFAULT_FREQUENCY_HZ
 ) -> TransferReport:
@@ -337,7 +356,8 @@ def compare_closed_forms(
     forms against the full expression.
 
     Raises:
-        SingularNetworkError: Propagated from the nodal solve.
+        SingularNetworkError, DegenerateScenarioError: From the closed forms
+            or the nodal solve.
     """
     ratios: dict[str, float] = {
         "distant": rx_transfer_distant(s),
@@ -356,8 +376,7 @@ def compare_closed_forms(
                 distant=False, d=p.d, k=p.k,
             )
 
-    net = build_channel_network(*(getattr(s, name) for name in CAPACITANCE_NAMES))
-    ratios["oracle"] = solve_transfer(net, frequency).ratio.real
+    ratios["oracle"] = oracle_ratio([getattr(s, name) for name in CAPACITANCE_NAMES], frequency)
 
     errors: dict[str, float] = {}
     for name, value in ratios.items():

@@ -34,6 +34,20 @@ def geometric_config(tmp_path, link="separation_m = 0.10", extra=""):
     return path
 
 
+def tiny_return_path_config(tmp_path, name, return_path_f):
+    """A direct-capacitance sample config with both return paths set to
+    ``return_path_f``, its dielectric table given by absolute path."""
+    text = (CONFIG_DIR / name).read_text().replace(
+        "return_path_f = 0.5e-12", f"return_path_f = {return_path_f}"
+    ).replace(
+        "dielectric_table = dielectric_cb.csv",
+        f"dielectric_table = {CONFIG_DIR / 'dielectric_cb.csv'}",
+    )
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
 class TestEval:
     def test_human_readable_report(self):
         proc = run_cli("eval", str(CONFIG_DIR / "sample_geometric.cfg"))
@@ -88,6 +102,21 @@ class TestEval:
         proc = run_cli("eval", str(config))
         assert proc.returncode == 1
         assert "[tx] radius_m" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "return_path_f, form",
+        [("1e-200", "rx_transfer_distant"), ("1e-160", "oracle")],
+        ids=["closed-forms-underflow", "oracle-underflows"],
+    )
+    def test_nonpositive_ratio_exits_2_naming_form(self, tmp_path, return_path_f, form):
+        """Return paths this small leave no positive ratio: at 1e-200 every
+        closed form underflows to 0, at 1e-160 only the nodal solve does."""
+        config = tiny_return_path_config(tmp_path, "default_direct.cfg", return_path_f)
+        proc = run_cli("eval", str(config))
+        assert proc.returncode == 2
+        assert f"numerical error: {form}: " in proc.stderr
+        assert "is not positive" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_db_mode_prints_losses(self):
@@ -180,6 +209,19 @@ class TestSweep:
         proc = run_cli("sweep", str(config), "--out", str(tmp_path / "out.csv"))
         assert proc.returncode == 2
         assert "numerical error: sweep step 4 (value 0.5): full_transfer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "return_path_f, flags, form",
+        [("1e-200", (), "full_transfer"), ("1e-160", ("--oracle",), "oracle")],
+        ids=["closed-forms-underflow", "oracle-underflows"],
+    )
+    def test_nonpositive_ratio_row_exits_2(self, tmp_path, return_path_f, flags, form):
+        config = tiny_return_path_config(tmp_path, "dielectric_sweep.cfg", return_path_f)
+        proc = run_cli("sweep", str(config), "--out", str(tmp_path / "out.csv"), *flags)
+        assert proc.returncode == 2
+        assert f"numerical error: sweep step 0 (value 0.1): {form}:" in proc.stderr
+        assert "is not positive" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_overflowing_radius_row_exits_1_naming_key(self, tmp_path):

@@ -15,6 +15,7 @@ from hbc_channel import (
     plate_to_plate_capacitance,
     return_path_capacitance,
 )
+from hbc_channel.geometry import MAX_RADIUS_M
 
 
 class TestDeviceGeometry:
@@ -31,6 +32,16 @@ class TestDeviceGeometry:
     def test_rejects_nonpositive_thickness(self):
         with pytest.raises(ValueError, match="thickness_t"):
             DeviceGeometry(radius_a=0.03, thickness_t=0.0)
+
+    def test_rejects_radius_whose_plate_area_overflows(self):
+        """pi*a^2 is finite up to MAX_RADIUS_M and inf one float above it."""
+        largest = DeviceGeometry(MAX_RADIUS_M, 0.005)
+        assert math.isfinite(plate_to_plate_capacitance(largest))
+        above = math.nextafter(MAX_RADIUS_M, math.inf)
+        assert math.isinf(math.pi * above**2)
+        for radius in (above, 1e200, np.array([0.03, 1e200])):
+            with pytest.raises(ValueError, match="radius_a .*plate area"):
+                DeviceGeometry(radius_a=radius, thickness_t=0.005)
 
 
 class TestDiscSelfCapacitance:

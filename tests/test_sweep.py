@@ -231,6 +231,26 @@ class TestSweepSpecValidation:
         assert isinstance(info.value.__cause__, ConfigError)
         assert "positions coincide" in str(info.value.__cause__)
 
+    def test_lower_row_failing_a_later_check_is_named(self):
+        """The profile check runs first and fails on rows 6-8 (beyond the
+        last anchor at 0.6); the later separation check fails on row 2 only,
+        where the Rx position meets the Tx position."""
+        values = np.linspace(0.1, 0.9, 9).tolist()
+        device = dict(radius_m=0.03, plate_separation_m=0.005)
+        base = ScenarioConfig(
+            tx=SideConfig(position_s=values[2], **device),
+            rx=SideConfig(fringe_f=0.75e-12, load_f=10e-12, **device),
+            c_b_f=150e-12, shadowing_anchors=((0.0, 0.5), (0.6, 0.8)),
+            segment_length_m=0.6, k_f_per_m=2e-12,
+        )
+        spec = SweepSpec(kind="rx_position", start=0.1, stop=0.9, steps=9, base=base)
+        with pytest.raises(SweepStepError) as info:
+            run_sweep(spec)
+        assert info.value.step == 2
+        assert info.value.value == values[2]
+        assert isinstance(info.value.__cause__, ConfigError)
+        assert "tx and rx positions coincide" in str(info.value.__cause__)
+
 
 class TestCsvEmission:
     def test_two_rows_make_three_lines(self, tmp_path, config_dir):
