@@ -165,7 +165,7 @@ def _cmd_sweep(args) -> int:
     )
     result = run_sweep(spec)
     emit_csv(result, args.out)
-    print(f"{len(result.rows)} rows ({result.swept_name} "
+    print(f"{len(result.swept)} rows ({result.swept_name} "
           f"{parsed.sweep.start:.6g}..{parsed.sweep.stop:.6g}) -> {args.out}")
     return EXIT_OK
 

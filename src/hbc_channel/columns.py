@@ -3,9 +3,8 @@
 Every function of the model accepts either floats (one scenario) or numpy
 columns (one row per sweep step, floats broadcast against them).  A check is
 a plain ``if`` either way.  On a column it fails when any row fails, and the
-error raised for the column as a whole says only that some row failed (a
-message that formats one number with a format spec cannot format a column
-and raises ``TypeError``).  Rows are independent, so
+error raised for the column as a whole says only that some row failed: its
+message formats values through :func:`shown`.  Rows are independent, so
 :func:`hbc_channel.sweep.run_sweep` finds the lowest failing row by halving
 and evaluates that row on its own, which raises that row's own error.
 """
@@ -27,3 +26,8 @@ def holds(ok) -> bool:
     if ok is True:
         return True
     return ok.all() if isinstance(ok, np.ndarray) else ok
+
+
+def shown(value, spec: str) -> str:
+    """``value`` formatted with the format ``spec``; a column reads as "some row"."""
+    return "some row" if isinstance(value, np.ndarray) else format(value, spec)

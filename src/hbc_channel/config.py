@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .columns import fails
+from .columns import fails, shown
 from .constants import DECOUPLING_DISTANCE_M, DEFAULT_FREQUENCY_HZ, EQS_MAX_FREQUENCY_HZ
 from .geometry import (
     CouplingConstant,
@@ -337,8 +337,8 @@ def _pick(
     if derived is not None:
         if direct is not None and fails(relative_error(direct, derived) > CONSISTENCY_REL_TOL):
             raise ConfigError(
-                f"{name}: direct value {direct:.12g} disagrees with its geometric "
-                f"derivation {derived:.12g} (more than {CONSISTENCY_REL_TOL:g} relative)"
+                f"{name}: direct value {shown(direct, '.12g')} disagrees with its geometric "
+                f"derivation {shown(derived, '.12g')} (more than {CONSISTENCY_REL_TOL:g} relative)"
             )
         return derived
     if direct is None and missing is not None:
@@ -377,17 +377,19 @@ def _shadowing(side: SideConfig, name: str, profile: ShadowingProfile | None) ->
 def _resolve_separation(config: ScenarioConfig) -> float | None:
     """Device separation: explicit, from body positions, or both (checked)."""
     derived = None
-    tx_s, rx_s = config.tx.position_s, config.rx.position_s
+    tx_s, rx_s, length = config.tx.position_s, config.rx.position_s, config.segment_length_m
+    if length is not None and not length > 0:
+        raise ConfigError(f"[body] segment_length_m must be positive, got {length}")
     if tx_s is not None and rx_s is not None:
-        if config.segment_length_m is None:
+        if length is None:
             raise ConfigError(
                 "missing required parameter [body] segment_length_m "
                 "(required to turn device positions into a separation)"
             )
-        derived = abs(tx_s - rx_s) * config.segment_length_m
+        derived = abs(tx_s - rx_s) * length
         if fails(derived <= 0):
             raise ConfigError(
-                f"tx and rx positions coincide (position_s = {tx_s:g}); "
+                f"tx and rx positions coincide (position_s = {shown(tx_s, 'g')}); "
                 "device separation would be zero"
             )
     if config.separation_m is not None and fails(config.separation_m <= 0):

@@ -1,12 +1,12 @@
-"""Lumped capacitive network and its AC nodal solution.
+"""Lumped capacitive network and its nodal solution.
 
 The channel circuit is represented as a general labelled-node network of
 capacitive branches with one ideal voltage source and one output port.  The
 solver performs standard modified nodal analysis (dense LU with partial
-pivoting via numpy); for capacitance-only networks the resulting transfer
-ratio is real and frequency independent, which makes the solver an
-independent numerical oracle for every closed-form expression in
-:mod:`hbc_channel.transfer`.
+pivoting via numpy).  A capacitance-only network has a real transfer ratio
+that does not depend on frequency, so the solve is real and takes no
+frequency; it is an independent numerical oracle for every closed-form
+expression in :mod:`hbc_channel.transfer`.
 
 Branch capacitances may be numpy columns of one length: the network is then a
 batch of networks of one topology, one per row, solved in one stacked call.
@@ -95,8 +95,8 @@ class TransferSolution:
     one row per network.
     """
 
-    ratio: complex
-    node_potentials: tuple[complex, ...] = field(repr=False)
+    ratio: float
+    node_potentials: tuple[float, ...] = field(repr=False)
 
 
 # Node ids of the standard channel circuit: earth ground is the reference,
@@ -115,13 +115,12 @@ def build_channel_network(
     c_l: float,
     c_b: float,
     c_c: float,
-    amplitude: float = 1.0,
 ) -> CapNetwork:
     """Assemble the 4-node body-channel circuit.
 
     Nodes: earth E (reference), body B, Tx ground TG, Rx ground RG.
     Branches: C_B (B-E), C_x-Tx (TG-E), C_x-Rx (RG-E), C_L (B-RG),
-    C_GB-Rx (B-RG) and, when positive, C_c (TG-RG).  The ideal source sits
+    C_GB-Rx (B-RG) and, when positive, C_c (TG-RG).  The unit source sits
     across (B, TG) and the output is read across (B, RG), i.e. over the load.
 
     The body to Tx-ground capacitance is deliberately absent: it would sit
@@ -137,7 +136,6 @@ def build_channel_network(
         c_l: Load capacitance, F (> 0).
         c_b: Body-to-earth capacitance, F (> 0).
         c_c: Inter-device coupling capacitance, F (>= 0; 0 omits the branch).
-        amplitude: Source amplitude, V.
     """
     for name, value in (
         ("c_x_tx", c_x_tx), ("c_x_rx", c_x_rx), ("c_gb_rx", c_gb_rx),
@@ -161,7 +159,7 @@ def build_channel_network(
         node_count=4,
         reference_node=NODE_EARTH,
         branches=tuple(branches),
-        source=(NODE_BODY, NODE_TX_GROUND, amplitude),
+        source=(NODE_BODY, NODE_TX_GROUND, 1.0),
         output=(NODE_BODY, NODE_RX_GROUND),
     )
 
@@ -193,25 +191,20 @@ def well_posedness_check(net: CapNetwork) -> tuple[int, ...]:
     return tuple(sorted(set(range(net.node_count)) - seen))
 
 
-def solve_transfer(net: CapNetwork, frequency: float) -> TransferSolution:
-    """Solve the network at one frequency by modified nodal analysis.
+def solve_transfer(net: CapNetwork) -> TransferSolution:
+    """Solve the network by modified nodal analysis.
 
     Unknowns are the non-reference node potentials plus the source branch
-    current.  Charge conservation holds at every non-source node, and for
-    capacitance-only networks the returned ratio is real and identical at any
-    two frequencies.
+    current, and charge conservation holds at every non-source node.
 
-    For a purely capacitive network every branch admittance is j*w*C, so the
-    j*w factor cancels out of the node potentials.  The system is therefore
-    assembled with capacitances normalised by the largest branch value (the
-    source current unknown absorbs the j*w*C_ref scale), which keeps the
-    matrix real and well conditioned; dense LU with partial pivoting does the
-    elimination.  A batch stacks one such system per row, assembled in the
-    same branch order, and solves them in one call.
-
-    Args:
-        net: Network to solve.
-        frequency: Analysis frequency in Hz (> 0).
+    Every branch admittance of a purely capacitive network is j*w*C, so the
+    j*w factor cancels out of the node potentials: the solve is real and
+    takes no frequency.  The system is assembled with capacitances
+    normalised by the largest branch value (the source current unknown
+    absorbs the j*w*C_ref scale), which keeps the matrix well conditioned;
+    dense LU with partial pivoting does the elimination.  A batch stacks one
+    such system per row, assembled in the same branch order, and solves them
+    in one call.
 
     Returns:
         TransferSolution with ratio = (V_out+ - V_out-) / source amplitude.
@@ -219,11 +212,7 @@ def solve_transfer(net: CapNetwork, frequency: float) -> TransferSolution:
     Raises:
         SingularNetworkError: If a node is floating (named in the message)
             or the nodal system is otherwise singular.
-        ValueError: If frequency is not positive.
     """
-    if not (frequency > 0 and math.isfinite(frequency)):
-        raise ValueError(f"frequency must be positive, got {frequency}")
-
     floating = well_posedness_check(net)
     if floating:
         raise SingularNetworkError(
@@ -282,5 +271,5 @@ def solve_transfer(net: CapNetwork, frequency: float) -> TransferSolution:
     ratio = (potentials[op] - potentials[om]) / amplitude
     if batch:
         rows = np.stack(np.broadcast_arrays(*potentials), axis=-1)
-        return TransferSolution(ratio=ratio + 0j, node_potentials=rows + 0j)
-    return TransferSolution(ratio=complex(ratio), node_potentials=tuple(map(complex, potentials)))
+        return TransferSolution(ratio=ratio, node_potentials=rows)
+    return TransferSolution(ratio=float(ratio), node_potentials=tuple(map(float, potentials)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import holds
+from .columns import holds, shown
 
 SEGMENT_NAMES = ("arm", "torso", "custom")
 
@@ -47,12 +47,6 @@ class ShadowingProfile:
         if any(b <= a for a, b in zip(coords, coords[1:])):
             raise ValueError("anchor coordinates must be strictly ascending")
 
-    @property
-    def is_monotone(self) -> bool:
-        """True when x never decreases with s (a plain away-from-torso trend)."""
-        values = [a[1] for a in self.anchors]
-        return all(b >= a for a, b in zip(values, values[1:]))
-
 
 def shadowing_factor(s: float, profile: ShadowingProfile) -> float:
     """Interpolate the shadowing fraction at body coordinate s.
@@ -69,7 +63,8 @@ def shadowing_factor(s: float, profile: ShadowingProfile) -> float:
     low, high = profile.anchors[0][0], profile.anchors[-1][0]
     if not holds((s >= low) & (s <= high)):
         raise ValueError(
-            f"body coordinate {s:.6g} outside profile anchor range [{low:.6g}, {high:.6g}]"
+            f"body coordinate {shown(s, '.6g')} outside profile anchor range "
+            f"[{low:.6g}, {high:.6g}]"
         )
     coords = [a[0] for a in profile.anchors]
     values = [a[1] for a in profile.anchors]

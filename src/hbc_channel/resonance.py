@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .columns import holds
+from .columns import holds, shown
 
 DEFAULT_SERIES_RESISTANCE_OHM = 10.0
 DEFAULT_GRID_MIN_HZ = 10e3
@@ -51,6 +51,8 @@ class ResonanceCircuit:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive, got {value}")
+        if not math.isfinite(self.series_resistance * self.series_resistance):
+            raise ValueError(f"series_resistance {self.series_resistance} has no finite square")
 
     @property
     def resonant_frequency(self) -> float:
@@ -163,7 +165,10 @@ def capacitance_from_resonance(f_r: float, inductance: float) -> float:
         raise ValueError(f"resonant frequency must be positive, got {f_r}")
     if not (inductance > 0 and math.isfinite(inductance)):
         raise ValueError(f"inductance must be positive, got {inductance}")
-    return 1.0 / ((2.0 * math.pi * f_r) ** 2 * inductance)
+    denominator = (2.0 * math.pi * f_r) ** 2 * inductance
+    if not (denominator > 0 and math.isfinite(denominator)):
+        raise ValueError(f"(2*pi*f_r)^2 * L = {denominator} gives no finite capacitance")
+    return 1.0 / denominator
 
 
 def extract_body_capacitance(
@@ -237,11 +242,6 @@ class DielectricTable:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
         return cls(tuple(rows))
 
-    def to_csv(self, path: str | Path) -> None:
-        lines = ["thickness_m,c_b_farads"]
-        lines += [f"{t:.12g},{c:.12g}" for t, c in self.rows]
-        Path(path).write_text("\n".join(lines) + "\n")
-
 
 def body_capacitance_lookup(thickness: float, table: DielectricTable) -> float:
     """Interpolate the body capacitance for a dielectric thickness.
@@ -255,7 +255,7 @@ def body_capacitance_lookup(thickness: float, table: DielectricTable) -> float:
     low, high = table.rows[0][0], table.rows[-1][0]
     if not holds((thickness >= low) & (thickness <= high)):
         raise ValueError(
-            f"thickness {thickness:.6g} m outside table range "
+            f"thickness {shown(thickness, '.6g')} m outside table range "
             f"[{low:.6g}, {high:.6g}] m; extrapolation is not supported"
         )
     thicknesses = [r[0] for r in table.rows]

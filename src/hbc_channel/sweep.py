@@ -15,9 +15,7 @@ byte-identical CSV.
 from __future__ import annotations
 
 import csv
-import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -94,22 +92,6 @@ class SweepStepError(Exception):
         return f"sweep step {self.step} (value {self.value:.6g}): {self.__cause__}"
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    swept_value: float
-    c_x_tx: float
-    c_x_rx: float
-    c_gb_rx: float
-    c_l: float
-    c_b: float
-    c_c: float
-    ratio: float
-    loss_db: float
-    flags: tuple[str, ...]
-    oracle_ratio: float | None = None
-    oracle_rel_error: float | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """A sweep as columns: one array per CSV column and one flag tuple per row.
@@ -117,8 +99,7 @@ class SweepResult:
     ``swept`` holds the swept values, ``capacitance`` maps each capacitance
     CSV column (e.g. ``c_c_f``) to its array, ``ratio`` and ``loss_db`` hold
     the full-form transfer and its loss, and ``flags`` holds one regime-flag
-    tuple per row.  The oracle columns are ``None`` when the oracle was not
-    run.  :attr:`rows` gives the same values row by row.
+    tuple per row.  The oracle columns are ``None`` without the oracle.
     """
 
     kind: str
@@ -135,40 +116,12 @@ class SweepResult:
     def include_oracle(self) -> bool:
         return self.oracle_ratio is not None
 
-    @functools.cached_property
-    def rows(self) -> "SweepRows":
-        """The rows, built from the columns when first indexed or iterated."""
-        return SweepRows(self)
-
     def numeric_columns(self) -> list[np.ndarray]:
         """Every numeric column in CSV order (flags excluded)."""
         columns = [self.swept, *self.capacitance.values(), self.ratio, self.loss_db]
         if self.include_oracle:
             columns += [self.oracle_ratio, self.oracle_rel_error]
         return columns
-
-
-class SweepRows(Sequence):
-    """Read-only row view of a :class:`SweepResult`; its length costs nothing."""
-
-    def __init__(self, result: SweepResult):
-        self._result = result
-
-    def __len__(self) -> int:
-        return len(self._result.swept)
-
-    def __getitem__(self, index):
-        return self._rows[index]
-
-    @functools.cached_property
-    def _rows(self) -> tuple[SweepRow, ...]:
-        result = self._result
-        columns = [column.tolist() for column in result.numeric_columns()]
-        oracle = columns[9:] if result.include_oracle else [[None] * len(self)] * 2
-        return tuple(
-            SweepRow(*numbers, flags, *checks)
-            for *numbers, flags, checks in zip(*columns[:9], result.flags, zip(*oracle))
-        )
 
 
 def _is_set(config: ScenarioConfig, pin: str) -> bool:
@@ -239,7 +192,7 @@ def _evaluate(spec: SweepSpec, values, table) -> SweepResult:
     ratio = full_transfer(scenario)
     oracle = oracle_error = None
     if spec.include_oracle:
-        oracle = oracle_ratio(capacitances, spec.base.frequency_hz)
+        oracle = oracle_ratio(capacitances)
         oracle_error = relative_error(ratio, oracle)
     return SweepResult(
         kind=spec.kind,

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .columns import fails, holds
+from .columns import fails, holds, shown
 from .constants import (
     COUPLED_COUPLING_F,
     DEFAULT_FREQUENCY_HZ,
@@ -51,7 +51,8 @@ class DegenerateScenarioError(ArithmeticError):
 def _checked_ratio(numerator: float, denominator: float, context: str) -> float:
     if fails(denominator < DEGENERATE_DENOMINATOR):
         raise DegenerateScenarioError(
-            f"{context}: denominator {denominator:.3e} below {DEGENERATE_DENOMINATOR:.0e}"
+            f"{context}: denominator {shown(denominator, '.3e')} below "
+            f"{DEGENERATE_DENOMINATOR:.0e}"
         )
     # Positive inputs give a positive ratio unless the numerator underflowed.
     ratio = numerator / denominator
@@ -329,7 +330,7 @@ def regime_flags(s: ChannelScenario) -> tuple[str, ...]:
     return _FLAG_SETS[code]
 
 
-def oracle_ratio(capacitances, frequency: float) -> float:
+def oracle_ratio(capacitances) -> float:
     """Nodal-solution transfer ratio of the six capacitances in
     :data:`CAPACITANCE_NAMES` order (columns give one ratio per row).
 
@@ -338,7 +339,7 @@ def oracle_ratio(capacitances, frequency: float) -> float:
         DegenerateScenarioError: If the ratio is not positive, which only
             rounding in the solve gives for positive capacitances.
     """
-    ratio = solve_transfer(build_channel_network(*capacitances), frequency).ratio.real
+    ratio = solve_transfer(build_channel_network(*capacitances)).ratio
     if not holds(ratio > 0):
         raise DegenerateScenarioError(f"oracle: nodal ratio {ratio} is not positive")
     return ratio
@@ -353,12 +354,16 @@ def compare_closed_forms(
     provenance; ``geometric_full`` also needs its ``d`` and ``k``, which
     scenario assembly records only inside the decoupling distance.  Pairwise
     relative errors cover each closed form against the oracle and the closed
-    forms against the full expression.
+    forms against the full expression.  ``frequency`` is only echoed in the
+    report: the capacitive channel does not depend on it.
 
     Raises:
         SingularNetworkError, DegenerateScenarioError: From the closed forms
             or the nodal solve.
+        ValueError: If frequency is not positive.
     """
+    if not (frequency > 0 and math.isfinite(frequency)):
+        raise ValueError(f"frequency must be positive, got {frequency}")
     ratios: dict[str, float] = {
         "distant": rx_transfer_distant(s),
         "simplified": simplified_transfer(s),
@@ -376,7 +381,7 @@ def compare_closed_forms(
                 distant=False, d=p.d, k=p.k,
             )
 
-    ratios["oracle"] = oracle_ratio([getattr(s, name) for name in CAPACITANCE_NAMES], frequency)
+    ratios["oracle"] = oracle_ratio([getattr(s, name) for name in CAPACITANCE_NAMES])
 
     errors: dict[str, float] = {}
     for name, value in ratios.items():

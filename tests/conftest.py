@@ -86,6 +86,6 @@ def make_random_network(rng: np.random.Generator, min_ratio: float = 1e-3):
             source=(int(source_pair[0]), int(source_pair[1]), 1.0),
             output=(int(output_pair[0]), int(output_pair[1])),
         )
-        ratio = solve_transfer(net, 1e5).ratio
+        ratio = solve_transfer(net).ratio
         if abs(ratio) >= min_ratio:
             return net

@@ -78,7 +78,7 @@ def test_criterion_1_oracle_agreement():
         draw = box_draw(rng)
         closed = full_transfer(ChannelScenario(**draw))
         net = build_channel_network(**draw)
-        oracle = solve_transfer(net, 1e5).ratio.real
+        oracle = solve_transfer(net).ratio
         errors.append(abs(closed - oracle) / max(abs(closed), abs(oracle)))
     elapsed = time.perf_counter() - started
     errors = np.asarray(errors)
@@ -277,27 +277,25 @@ def test_criterion_6_algebraic_identities():
 
 
 def test_criterion_7_solver_properties():
-    """Scale invariance and frequency independence on 100 random networks."""
+    """Scale invariance on 100 random networks."""
     rng = np.random.default_rng(20260811)
-    worst_scale = worst_freq = 0.0
+    worst_scale = 0.0
     for _ in range(100):
         net = make_random_network(rng)
-        r1 = solve_transfer(net, 1e5).ratio
-        r2 = solve_transfer(net, 1e6).ratio
+        r1 = solve_transfer(net).ratio
         lam = float(10 ** rng.uniform(-2, 2))
         scaled = CapNetwork(
             net.node_count, net.reference_node,
             tuple((i, j, c * lam) for i, j, c in net.branches),
             net.source, net.output,
         )
-        r3 = solve_transfer(scaled, 1e5).ratio
-        worst_freq = max(worst_freq, abs(r1 - r2) / abs(r1))
+        r3 = solve_transfer(scaled).ratio
         worst_scale = max(worst_scale, abs(r1 - r3) / abs(r1))
-    ok = worst_scale < 1e-12 and worst_freq < 1e-12
+    ok = worst_scale < 1e-12
     report(
         7, "solver properties", ok,
-        f"worst scale-invariance drift {worst_scale:.2e}, worst frequency "
-        f"drift {worst_freq:.2e} (each < 1e-12, 100 networks of <= 8 nodes)",
+        f"worst scale-invariance drift {worst_scale:.2e} (< 1e-12, 100 networks "
+        "of <= 8 nodes)",
     )
 
 

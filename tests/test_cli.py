@@ -234,6 +234,18 @@ class TestSweep:
         assert "sweep step 1 (value 5.26316e+198): [tx] radius_m" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_nonpositive_segment_length_exits_1_naming_key(self, tmp_path):
+        config = tmp_path / "arm.cfg"
+        config.write_text(
+            (CONFIG_DIR / "arm_sweep.cfg").read_text().replace(
+                "segment_length_m = 0.65", "segment_length_m = -0.5"
+            )
+        )
+        proc = run_cli("sweep", str(config), "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == 1
+        assert "[body] segment_length_m" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_config_without_sweep_section_exits_1(self):
         proc = run_cli(
             "sweep", str(CONFIG_DIR / "default_direct.cfg"), "--out", "/tmp/x.csv"
@@ -279,6 +291,22 @@ class TestResonance:
         proc = run_cli("resonance", str(config))
         assert proc.returncode == 1
         assert "[body] c_b_f" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "inductance_h = 1e-3\nseries_resistance_ohm = 1e300\n",
+            "inductance_h = 1e-12\ncapacitance_f = 1e4\nf_min_hz = 1e-300\nf_max_hz = 1e-3\n",
+        ],
+        ids=["resistance-square-overflows", "capacitance-divides-by-zero"],
+    )
+    def test_unusable_circuit_exits_1(self, tmp_path, section):
+        config = tmp_path / "circuit.cfg"
+        config.write_text("[body]\nc_b_f = 150.838e-12\n[resonance]\n" + section)
+        proc = run_cli("resonance", str(config))
+        assert proc.returncode == 1
+        assert "config error" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_capacitance_exits_1(self, tmp_path):
         config = tmp_path / "nocap.cfg"

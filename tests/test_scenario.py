@@ -83,12 +83,6 @@ class TestShadowingProfile:
         with pytest.raises(ValueError, match="segment"):
             ShadowingProfile("leg", ((0.0, 0.5), (1.0, 0.6)))
 
-    def test_monotonicity_helper(self):
-        assert ARM.is_monotone
-        assert TORSO.is_monotone
-        dip = ShadowingProfile("custom", ((0.0, 0.4), (0.1, 0.3), (1.0, 0.8)))
-        assert not dip.is_monotone
-
 
 class TestDirectConfig:
     def test_passthrough(self, tmp_path):

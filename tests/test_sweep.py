@@ -37,7 +37,7 @@ def separation_result():
 
 class TestSeparationSweep:
     def test_row_count_and_monotone_swept_column(self, separation_result):
-        assert len(separation_result.rows) == 46
+        assert len(separation_result.swept) == 46
         values = separation_result.swept
         assert np.all(np.diff(values) > 0)
 
@@ -69,9 +69,9 @@ class TestSeparationSweep:
         assert np.all(c_c[d < 0.5] > 0.0)
 
     def test_distant_flag_set_on_far_rows(self, separation_result):
-        for row in separation_result.rows:
-            if row.swept_value >= 0.5:
-                assert "distant" in row.flags
+        for value, flags in zip(separation_result.swept, separation_result.flags):
+            if value >= 0.5:
+                assert "distant" in flags
 
 
 class TestAreaSweep:
@@ -102,7 +102,7 @@ class TestRadiusSweep:
 
     def test_rows_are_distant(self, config_dir):
         result = run_sweep(spec_from_config(config_dir / "radius_sweep.cfg"))
-        assert all("distant" in row.flags for row in result.rows)
+        assert all("distant" in flags for flags in result.flags)
 
 
 class TestArmScenarioSweep:
@@ -125,8 +125,7 @@ class TestArmScenarioSweep:
     def test_oracle_agreement_per_row(self, config_dir):
         """Every row's closed-form/oracle error stays within the 5% bound."""
         result = run_sweep(spec_from_config(config_dir / "arm_sweep.cfg", include_oracle=True))
-        errors = np.array([row.oracle_rel_error for row in result.rows])
-        assert np.all(errors < 0.05)
+        assert np.all(result.oracle_rel_error < 0.05)
 
 
 class TestPositionSweepMonotonicity:
@@ -276,10 +275,11 @@ class TestCsvEmission:
         out = tmp_path / "sweep.csv"
         emit_csv(result, out)
         parsed = read_sweep_csv(out)
-        for original, reread in zip(result.rows, parsed.rows):
-            assert reread.ratio == pytest.approx(original.ratio, rel=1e-11)
-            assert reread.c_c == pytest.approx(original.c_c, rel=1e-11, abs=1e-30)
-            assert reread.flags == original.flags
+        assert parsed.ratio == pytest.approx(result.ratio, rel=1e-11)
+        assert parsed.capacitance["c_c_f"] == pytest.approx(
+            result.capacitance["c_c_f"], rel=1e-11, abs=1e-30
+        )
+        assert parsed.flags == result.flags
 
     def test_determinism_byte_identical(self, tmp_path, config_dir):
         spec = spec_from_config(config_dir / "separation_sweep.cfg")
@@ -294,9 +294,7 @@ class TestCsvEmission:
         emit_csv(result, out)
         parsed = read_sweep_csv(out)
         assert parsed.include_oracle
-        assert parsed.rows[0].oracle_ratio == pytest.approx(
-            result.rows[0].oracle_ratio, rel=1e-11
-        )
+        assert parsed.oracle_ratio[0] == pytest.approx(result.oracle_ratio[0], rel=1e-11)
 
     def test_empty_destination_raises_io_error(self, config_dir):
         result = run_sweep(spec_from_config(config_dir / "separation_sweep.cfg"))

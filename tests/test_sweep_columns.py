@@ -19,10 +19,16 @@ from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR
 from hbc_channel import (
+    ChannelScenario,
+    ConfigError,
+    DegenerateScenarioError,
+    DielectricTable,
     ScenarioConfig,
+    ShadowingProfile,
     SideConfig,
     SweepSpec,
     SweepStepError,
+    body_capacitance_lookup,
     build_channel_network,
     build_scenario,
     full_transfer,
@@ -30,9 +36,10 @@ from hbc_channel import (
     regime_flags,
     relative_error,
     run_sweep,
+    shadowing_factor,
     solve_transfer,
 )
-from hbc_channel.config import load_dielectric_table
+from hbc_channel.config import body_capacitance, load_dielectric_table
 from hbc_channel.sweep import SWEEP_KINDS
 
 TABLE = str(CONFIG_DIR / "dielectric_cb.csv")
@@ -139,7 +146,7 @@ def evaluate_row(spec, value, table):
     row = {name: getattr(scenario, name) for name in FIELDS}
     if spec.include_oracle:
         net = build_channel_network(*(row[name] for name in FIELDS))
-        row["oracle_ratio"] = solve_transfer(net, spec.base.frequency_hz).ratio.real
+        row["oracle_ratio"] = solve_transfer(net).ratio
         row["oracle_rel_error"] = relative_error(ratio, row["oracle_ratio"])
     row.update(ratio=ratio, loss_db=-ratio_to_db(ratio), flags=regime_flags(scenario))
     return row
@@ -244,3 +251,32 @@ def test_failing_sweep_names_first_failing_row(how, oracle, data):
     assert info.value.value == np.linspace(spec.start, spec.stop, spec.steps).tolist()[step]
     assert type(info.value.__cause__) is type(cause)
     assert str(info.value.__cause__) == str(cause)
+
+
+SMALL_TABLE = DielectricTable(((0.3, 2e-10), (0.5, 1e-10)))
+DIRECT_SIDES = dict(
+    tx=SideConfig(return_path_f=1e-12, position_s=np.array([0.5, 0.7])),
+    rx=SideConfig(return_path_f=1e-12, ground_body_f=3e-12, load_f=1e-11, position_s=0.5),
+)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: full_transfer(ChannelScenario(np.array([1e-12, 1e-25]), 1e-25, 1e-25, 1e-25,
+                                               1e-10, 0.0)), DegenerateScenarioError),
+        (lambda: body_capacitance(ScenarioConfig(
+            c_b_f=1e-10, dielectric_thickness_m=np.array([0.3, 0.4])), SMALL_TABLE), ConfigError),
+        (lambda: build_scenario(ScenarioConfig(
+            **DIRECT_SIDES, c_b_f=1e-10, coupling_f=0.0, segment_length_m=0.65)), ConfigError),
+        (lambda: shadowing_factor(np.array([0.5, 0.95]),
+                                  ShadowingProfile("arm", ((0.1, 0.3), (0.9, 0.5)))), ValueError),
+        (lambda: body_capacitance_lookup(np.array([0.4, 9.0]), SMALL_TABLE), ValueError),
+    ],
+    ids=["checked-ratio", "pick", "separation", "shadowing", "table-lookup"],
+)
+def test_failing_column_raises_documented_error(call, error):
+    """A check that fails on a column passed straight to a model function
+    raises the function's own error, whose message names no row."""
+    with pytest.raises(error, match="some row"):
+        call()

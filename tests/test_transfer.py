@@ -386,6 +386,10 @@ class TestCompareClosedForms:
         report = compare_closed_forms(scenario_with_cc(0.0))
         assert report.loss_db("full") == pytest.approx(78.27, abs=0.01)
 
+    def test_rejects_nonpositive_frequency(self):
+        with pytest.raises(ValueError, match="frequency"):
+            compare_closed_forms(scenario_with_cc(0.0), 0.0)
+
 
 class TestScenarioValidation:
     def test_rejects_nonpositive_capacitance(self):
