@@ -35,6 +35,7 @@ from .resonance import (
     BoundaryPeakError,
     FlatSweepError,
     ResonanceCircuit,
+    UnresolvedPeakError,
     default_frequency_grid,
     extract_body_capacitance,
 )
@@ -50,6 +51,7 @@ _NUMERICAL_ERRORS = (
     DegenerateScenarioError,
     BoundaryPeakError,
     FlatSweepError,
+    UnresolvedPeakError,
 )
 
 _RATIO_LABELS = {
@@ -104,6 +106,9 @@ def _build_parser() -> _Parser:
     p_cal.add_argument("--area", type=float, required=True, help="device plate area, m^2")
 
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _cmd_eval(args) -> int:
@@ -222,7 +227,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {
         "eval": _cmd_eval,
         "sweep": _cmd_sweep,

@@ -28,6 +28,13 @@ DEFAULT_SERIES_RESISTANCE_OHM = 10.0
 DEFAULT_GRID_MIN_HZ = 10e3
 DEFAULT_GRID_MAX_HZ = 1e6
 DEFAULT_GRID_POINTS = 2000
+# Largest frequency whose (2*pi*f)**2 stays a finite float (the limit is
+# about 2.1e153 Hz; a round value below it).
+MAX_FREQUENCY_HZ = 1e153
+# Largest accepted 2*(x2 - x0)/x1 over the grid points (x0, x1, x2) around
+# the peak: since C is proportional to f_r**-2, it bounds the relative error
+# of the recovered capacitance.  The default grid gives 0.92 %.
+MAX_PEAK_BRACKET = 0.05
 
 
 class BoundaryPeakError(ValueError):
@@ -36,6 +43,10 @@ class BoundaryPeakError(ValueError):
 
 class FlatSweepError(ValueError):
     """Sweep has no distinguishable peak."""
+
+
+class UnresolvedPeakError(ValueError):
+    """Grid too coarse around the peak to recover the capacitance."""
 
 
 @dataclass(frozen=True)
@@ -111,10 +122,18 @@ def lc_response(circuit: ResonanceCircuit, grid) -> FrequencySweep:
     freqs = np.array(grid, dtype=float)  # a copy: the caller keeps its grid
     if freqs.size == 0:
         raise ValueError("frequency grid is empty")
-    w = 2.0 * math.pi * freqs
-    x_c = 1.0 / (w * circuit.capacitance_true)
-    x_l = w * circuit.inductance
-    magnitude = x_c / np.sqrt(circuit.series_resistance**2 + (x_l - x_c) ** 2)
+    with np.errstate(over="ignore", divide="ignore"):
+        w = 2.0 * math.pi * freqs
+        x_c = 1.0 / (w * circuit.capacitance_true)
+        x_l = w * circuit.inductance
+        impedance_sq = circuit.series_resistance**2 + (x_l - x_c) ** 2
+    # Finite only when both reactances and the square of their difference are.
+    if not np.isfinite(impedance_sq).all():
+        raise ValueError(
+            "a reactance or its square overflows on the frequency grid "
+            f"[{freqs[0]:.6g}, {freqs[-1]:.6g}] Hz; narrow the grid"
+        )
+    magnitude = x_c / np.sqrt(impedance_sq)
     freqs.flags.writeable = False
     magnitude.flags.writeable = False
     return FrequencySweep(freqs, magnitude)
@@ -131,7 +150,8 @@ def find_resonant_frequency(sweep: FrequencySweep) -> float:
         FlatSweepError: If the sweep has no distinguishable peak.
         BoundaryPeakError: If the maximum sits on the first or last grid
             point (the grid must be widened).
-        ValueError: If the sweep has fewer than 3 points.
+        ValueError: If the sweep has fewer than 3 points, or the points
+            around the peak lie above :data:`MAX_FREQUENCY_HZ`.
     """
     if len(sweep.frequencies) < 3:
         raise ValueError("peak refinement needs at least 3 sweep points")
@@ -149,6 +169,10 @@ def find_resonant_frequency(sweep: FrequencySweep) -> float:
 
     # Python floats, so that x**2 below is libm pow for any sequence type.
     x0, x1, x2 = map(float, sweep.frequencies[peak - 1 : peak + 2])
+    if x2 > MAX_FREQUENCY_HZ:
+        raise ValueError(
+            f"peak at {x1:.6g} Hz lies above the {MAX_FREQUENCY_HZ:.6g} Hz frequency limit"
+        )
     y0, y1, y2 = np.log(mags[peak - 1 : peak + 2])
     denominator = y0 * (x1 - x2) + y1 * (x2 - x0) + y2 * (x0 - x1)
     if denominator <= 0:
@@ -161,8 +185,11 @@ def find_resonant_frequency(sweep: FrequencySweep) -> float:
 
 def capacitance_from_resonance(f_r: float, inductance: float) -> float:
     """Recover the capacitance from a resonant frequency: C = 1/((2*pi*f_r)^2 L)."""
-    if not (f_r > 0 and math.isfinite(f_r)):
-        raise ValueError(f"resonant frequency must be positive, got {f_r}")
+    if not 0 < f_r <= MAX_FREQUENCY_HZ:
+        raise ValueError(
+            f"resonant frequency must be positive and at most the {MAX_FREQUENCY_HZ:.6g} Hz "
+            f"limit, got {f_r}"
+        )
     if not (inductance > 0 and math.isfinite(inductance)):
         raise ValueError(f"inductance must be positive, got {inductance}")
     denominator = (2.0 * math.pi * f_r) ** 2 * inductance
@@ -180,11 +207,25 @@ def extract_body_capacitance(
 
     Returns:
         (recovered capacitance F, resonant frequency Hz, sweep).
+
+    Raises:
+        UnresolvedPeakError: If ``2*(x2 - x0)/x1`` over the grid points
+            around the peak exceeds :data:`MAX_PEAK_BRACKET`.
     """
     if grid is None:
         grid = default_frequency_grid()
     sweep = lc_response(circuit, grid)
     f_r = find_resonant_frequency(sweep)
+    # find_resonant_frequency has checked that the maximum is interior.
+    peak = int(np.argmax(sweep.magnitudes))
+    x0, x1, x2 = map(float, sweep.frequencies[peak - 1 : peak + 2])
+    bracket = 2.0 * (x2 - x0) / x1
+    if bracket > MAX_PEAK_BRACKET:
+        raise UnresolvedPeakError(
+            f"grid too coarse at the peak: 2*(x2-x0)/x1 = {bracket:.3g} over "
+            f"({x0:.6g}, {x1:.6g}, {x2:.6g}) Hz exceeds the {MAX_PEAK_BRACKET:.3g} "
+            "tolerance; use more grid points"
+        )
     return capacitance_from_resonance(f_r, circuit.inductance), f_r, sweep
 
 

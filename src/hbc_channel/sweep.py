@@ -248,19 +248,31 @@ def emit_csv(result: SweepResult, destination: str | Path) -> None:
     """Write the sweep as CSV: a header row then one row per step.
 
     Values are written with 12 significant digits, which re-parse to floats
-    that reprint identically (byte-stable round trip).
+    that reprint identically (byte-stable round trip).  A column whose rows
+    all equal its first bit for bit is formatted once, into the row template.
 
     Raises:
         OSError: With the destination path in the message.
     """
     header = [result.swept_name, *_CAP_COLUMNS, "ratio", "loss_db", "flags"]
-    cells = ["%.12g"] * 9 + ["%s"]
     if result.include_oracle:
         header += list(_ORACLE_COLUMNS)
-        cells += ["%.12g"] * 2
+    joined = {flags: "|".join(flags) for flags in set(result.flags)}
+    cells, columns = [], []
+    for column in result.numeric_columns():
+        # Bits, not values, so that -0.0 and 0.0 stay distinct.
+        bits = column.view(np.int64)
+        if bits.size and (bits == bits[0]).all():
+            cells.append("%.12g" % float(column[0]))
+        else:
+            cells.append("%.12g")
+            columns.append(column.tolist())
+        if len(cells) == 9:
+            # Flags stay a template field, so zip(*columns) yields one tuple
+            # per row even when every numeric column is constant.
+            cells.append("%s")
+            columns.append([joined[flags] for flags in result.flags])
     row_format = ",".join(cells) + "\n"
-    columns = [column.tolist() for column in result.numeric_columns()]
-    columns.insert(9, ["|".join(flags) for flags in result.flags])
     text = ",".join(header) + "\n" + "".join(row_format % row for row in zip(*columns))
     try:
         with open(destination, "w", newline="") as handle:

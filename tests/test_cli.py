@@ -308,12 +308,75 @@ class TestResonance:
         assert "config error" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "section, code, message",
+        [
+            ("inductance_h = 0.5\nf_min_hz = 10\npoints = 3\n", 2, "grid too coarse"),
+            (
+                "inductance_h = 1e-300\ncapacitance_f = 2.5e-102\n"
+                "series_resistance_ohm = 1e-120\nf_min_hz = 1e199\nf_max_hz = 1e201\n",
+                1,
+                "frequency limit",
+            ),
+            (
+                "inductance_h = 1e-12\ncapacitance_f = 1e4\nf_min_hz = 1e-300\nf_max_hz = 1e-3\n",
+                1,
+                "reactance or its square overflows",
+            ),
+        ],
+        ids=["coarse-grid-exits-2", "frequency-above-limit", "reactance-overflows"],
+    )
+    def test_rejected_extraction_exit_code(self, tmp_path, section, code, message):
+        """A grid that cannot resolve the peak or whose arithmetic overflows
+        ends in its documented exit, with no traceback or numpy warning."""
+        config = tmp_path / "circuit.cfg"
+        config.write_text("[body]\nc_b_f = 150e-12\n[resonance]\n" + section)
+        proc = run_cli("resonance", str(config))
+        assert proc.returncode == code
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_missing_capacitance_exits_1(self, tmp_path):
         config = tmp_path / "nocap.cfg"
         config.write_text("[resonance]\ninductance_h = 1e-3\n")
         proc = run_cli("resonance", str(config))
         assert proc.returncode == 1
         assert "capacitance_f" in proc.stderr
+
+
+class TestInProcess:
+    def test_repeated_main_calls_match_fresh_processes(self, tmp_path, monkeypatch, capsys):
+        """One process serving several commands in a row (the module-level
+        parser included) gives each the bytes and exit code of a fresh one."""
+        calls = [
+            ["sweep", str(CONFIG_DIR / "arm_sweep.cfg"), "--out", "out.csv", "--oracle"],
+            ["sweep", str(CONFIG_DIR / "separation_sweep.cfg"), "--out", "out.csv"],
+            ["sweep", str(CONFIG_DIR / "separation_sweep.cfg")],
+            ["eval", str(CONFIG_DIR / "sample_geometric.cfg"), "--json"],
+        ]
+        in_process = tmp_path / "in_process"
+        fresh = tmp_path / "fresh"
+        in_process.mkdir()
+        fresh.mkdir()
+        monkeypatch.chdir(in_process)
+        seen = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            csv = in_process / "out.csv"
+            seen.append((code, out, err, csv.read_bytes() if csv.exists() else None))
+            csv.unlink(missing_ok=True)
+        assert [code for code, *_ in seen] == [0, 0, 1, 0]
+        for argv, expected in zip(calls, seen):
+            proc = run_cli(*argv, cwd=fresh)
+            csv = fresh / "out.csv"
+            assert (proc.returncode, proc.stdout, proc.stderr,
+                    csv.read_bytes() if csv.exists() else None) == expected
+            csv.unlink(missing_ok=True)
 
 
 class TestCalibrateK:

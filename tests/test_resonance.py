@@ -11,6 +11,7 @@ from hbc_channel import (
     FlatSweepError,
     FrequencySweep,
     ResonanceCircuit,
+    UnresolvedPeakError,
     body_capacitance_lookup,
     capacitance_from_resonance,
     default_frequency_grid,
@@ -18,6 +19,7 @@ from hbc_channel import (
     find_resonant_frequency,
     lc_response,
 )
+from hbc_channel.resonance import MAX_FREQUENCY_HZ, MAX_PEAK_BRACKET
 
 REFERENCE = ResonanceCircuit(
     inductance=1e-3, capacitance_true=150.838e-12, series_resistance=10.0
@@ -77,6 +79,19 @@ class TestLcResponse:
         assert not sweep.frequencies.flags.writeable
         assert not sweep.magnitudes.flags.writeable
         assert grid.flags.writeable
+
+    @pytest.mark.parametrize(
+        "circuit, grid",
+        [
+            (ResonanceCircuit(1e-12, 1e4), np.geomspace(1e-300, 1e-3, 2000)),
+            (ResonanceCircuit(1e-3, 1e-300), [5e-324, 1.0, 2.0]),
+        ],
+        ids=["difference-square-overflows", "capacitive-reactance-overflows"],
+    )
+    def test_overflowing_reactance_rejected(self, circuit, grid):
+        """An overflow is a ValueError, not a numpy warning and a magnitude of 0."""
+        with pytest.raises(ValueError, match="overflows on the frequency grid"):
+            lc_response(circuit, grid)
 
 
 class TestFrequencySweepValidation:
@@ -138,6 +153,13 @@ class TestFindResonantFrequency:
         with pytest.raises(ValueError, match="at least 3"):
             find_resonant_frequency(FrequencySweep((1.0, 2.0), (0.1, 0.2)))
 
+    def test_peak_above_frequency_limit_rejected(self):
+        """Squaring a frequency near 1e200 Hz would overflow."""
+        circuit = ResonanceCircuit(1e-300, 2.5e-102, 1e-120)
+        sweep = lc_response(circuit, default_frequency_grid(1e199, 1e201))
+        with pytest.raises(ValueError, match="frequency limit"):
+            find_resonant_frequency(sweep)
+
     def test_array_sweep_matches_tuple_sweep_bitwise(self):
         """The peak found on lc_response's arrays equals, bit for bit, the
         peak found on the same values held as tuples of floats."""
@@ -183,6 +205,16 @@ class TestCapacitanceFromResonance:
         with pytest.raises(ValueError, match="positive"):
             capacitance_from_resonance(*args)
 
+    def test_frequency_limit(self):
+        """At the limit the capacitance is finite; above it, rejected."""
+        assert math.isfinite(capacitance_from_resonance(MAX_FREQUENCY_HZ, 1e-300))
+        with pytest.raises(ValueError, match="limit"):
+            capacitance_from_resonance(2.2e153, 1e-300)
+
+    def test_underflowing_denominator_rejected(self):
+        with pytest.raises(ValueError, match="no finite capacitance"):
+            capacitance_from_resonance(1e-170, 1e-3)
+
     def test_out_of_band_resonance_still_computes(self):
         """The op itself succeeds above the EQS band; band policing is the
         scenario layer's job."""
@@ -217,6 +249,26 @@ class TestExtractionPipeline:
             circuit = ResonanceCircuit(1e-3, c_true, 10.0)
             _, f_r, _ = extract_body_capacitance(circuit)
             assert f_r < 1e6
+
+    def test_coarse_grid_raises_unresolved_peak(self):
+        """Three points around an 18 kHz peak recovered 6.8e-13 F for 1.5e-10 F."""
+        circuit = ResonanceCircuit(0.5, 150e-12)
+        with pytest.raises(UnresolvedPeakError, match="grid too coarse"):
+            extract_body_capacitance(circuit, default_frequency_grid(10.0, 1e6, 3))
+
+    def test_accepted_extraction_within_gate_tolerance(self):
+        """Every grid the gate accepts recovers C within its tolerance."""
+        accepted = 0
+        for points in range(3, 400, 7):
+            grid = default_frequency_grid(points=points)
+            try:
+                recovered, _, _ = extract_body_capacitance(REFERENCE, grid)
+            except UnresolvedPeakError:
+                continue
+            accepted += 1
+            error = abs(recovered - REFERENCE.capacitance_true) / REFERENCE.capacitance_true
+            assert error <= MAX_PEAK_BRACKET
+        assert 0 < accepted < len(range(3, 400, 7))
 
     def test_peak_beyond_grid_raises_boundary_error(self):
         """A 25 pF body resonates just above 1 MHz: the default grid refuses
