@@ -12,8 +12,9 @@ Subcommands:
 * ``hbc calibrate-k --cc <F> --d <m> --area <m2>`` - back-solve the coupling
   constant from a reference point.
 
-Exit codes: 0 success, 1 config error, 2 numerical/singularity error.  A
-failing sweep row exits with the code of the row's own error.
+Exit codes: 0 success, 1 config error (or an input too large to allocate),
+2 numerical/singularity error.  A failing sweep row exits with the code of
+the row's own error.
 """
 
 from __future__ import annotations
@@ -245,6 +246,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"hbc: config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         raise
+    except MemoryError as exc:
+        print(f"hbc: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

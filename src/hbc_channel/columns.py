@@ -11,6 +11,8 @@ and evaluates that row on its own, which raises that row's own error.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -31,3 +33,13 @@ def holds(ok) -> bool:
 def shown(value, spec: str) -> str:
     """``value`` formatted with the format ``spec``; a column reads as "some row"."""
     return "some row" if isinstance(value, np.ndarray) else format(value, spec)
+
+
+def require_positive(**values) -> None:
+    """Raise ``ValueError`` for the first value that is not positive and finite.
+
+    A column must be so on every row.
+    """
+    for name, value in values.items():
+        if not holds((value > 0) & (value < math.inf)):
+            raise ValueError(f"{name} must be positive, got {shown(value, '')}")

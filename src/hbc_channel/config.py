@@ -39,8 +39,6 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .columns import fails, shown
 from .constants import DECOUPLING_DISTANCE_M, DEFAULT_FREQUENCY_HZ, EQS_MAX_FREQUENCY_HZ
 from .geometry import (
@@ -286,7 +284,7 @@ def load_config_file(path: str | Path) -> ParsedConfig:
 
 
 def resolve_table_path(name: str, base_dir: Path | None) -> Path:
-    """Locate a dielectric table: absolute, config-relative, then $HBC_TABLE_DIR."""
+    """Locate a dielectric table: absolute, config-relative, $HBC_TABLE_DIR, then as given."""
     candidate = Path(name)
     if candidate.is_absolute():
         if candidate.is_file():
@@ -405,20 +403,17 @@ def effective_coupling_capacitance(
     The near-field law C_c = k*A/d only holds while the two ground plates see
     each other; beyond ``decouple_m`` the body and environment shield the
     direct path and the coupling drops below anything resolvable, so it is
-    taken as zero.
+    taken as zero.  The law is evaluated at every separation, so its checks
+    hold beyond the cutoff too; a float ``d`` gives a float.
     """
-    far = d >= decouple_m
-    if isinstance(far, np.ndarray):
-        # Far rows pass the law's checks too (d >= decouple_m > 0).
-        return np.where(far, 0.0, coupling_capacitance(geom, d, k))
-    return 0.0 if far else coupling_capacitance(geom, d, k)
+    return coupling_capacitance(geom, d, k) * (d < decouple_m)
 
 
-def body_capacitance(config: ScenarioConfig, table: DielectricTable | None = None) -> float:
+def body_capacitance(config: ScenarioConfig) -> float:
     """Body capacitance C_B: direct, from the dielectric table, or both (checked).
 
-    The table value at ``dielectric_thickness_m`` is the one kept; ``table``
-    is the table ``config`` names, loaded on demand when not passed.
+    The value at ``dielectric_thickness_m`` of the table ``config`` names is
+    the one kept.
 
     Raises:
         ConfigError: On a thickness outside the table, a disagreeing
@@ -426,8 +421,7 @@ def body_capacitance(config: ScenarioConfig, table: DielectricTable | None = Non
     """
     derived = None
     if config.dielectric_thickness_m is not None:
-        if table is None:
-            table = load_dielectric_table(config)
+        table = load_dielectric_table(config)
         try:
             derived = body_capacitance_lookup(config.dielectric_thickness_m, table)
         except ValueError as exc:
@@ -439,15 +433,11 @@ def body_capacitance(config: ScenarioConfig, table: DielectricTable | None = Non
     )
 
 
-def build_scenario(
-    config: ScenarioConfig, table: DielectricTable | None = None
-) -> ChannelScenario:
+def build_scenario(config: ScenarioConfig) -> ChannelScenario:
     """Assemble a :class:`ChannelScenario` from raw config inputs.
 
     Every capacitance may come directly or from geometry (see :func:`_pick`);
     the geometric inputs used are recorded as provenance on the scenario.
-    ``table`` is the dielectric table ``config`` names, passed by callers that
-    build many scenarios from one config; by default it is loaded on demand.
     A swept input given as a numpy column gives a scenario of columns.
 
     Raises:
@@ -480,7 +470,10 @@ def build_scenario(
         raise ConfigError(f"[rx] fringe_f must be nonnegative, got {c_f}")
     derived_gb = None
     if rx_geom is not None and c_f is not None:
-        derived_gb = ground_to_body_capacitance(plate_to_plate_capacitance(rx_geom), c_f)
+        try:
+            derived_gb = ground_to_body_capacitance(plate_to_plate_capacitance(rx_geom), c_f)
+        except ValueError as exc:
+            raise ConfigError(f"[rx] radius_m, plate_separation_m and fringe_f: {exc}") from exc
     c_gb_rx = _pick(
         "[rx] ground_body_f", config.rx.ground_body_f, derived_gb,
         "missing required parameter: [rx] ground_body_f, or radius_m plus "
@@ -489,7 +482,7 @@ def build_scenario(
 
     c_l = _pick("[rx] load_f", config.rx.load_f, None, "missing required parameter: [rx] load_f")
 
-    c_b = body_capacitance(config, table)
+    c_b = body_capacitance(config)
 
     # Inter-device coupling: direct, or the shielded near-field law.
     separation = _resolve_separation(config)
@@ -501,7 +494,12 @@ def build_scenario(
                 "missing required parameter: [tx] radius_m (needed for the "
                 "coupling capacitance plate area)"
             )
-        derived_cc = effective_coupling_capacitance(tx_geom, separation, k, config.decouple_m)
+        try:
+            derived_cc = effective_coupling_capacitance(tx_geom, separation, k, config.decouple_m)
+        except ValueError as exc:
+            raise ConfigError(
+                f"[tx] radius_m, [link] k_f_per_m and the device separation: {exc}"
+            ) from exc
     if config.coupling_f is not None and config.coupling_f < 0:
         raise ConfigError(f"[link] coupling_f must be nonnegative, got {config.coupling_f}")
     c_c = _pick(

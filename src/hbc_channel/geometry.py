@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import fails, holds
+from .columns import fails, holds, require_positive
 from .constants import EPSILON_0
 
 # Largest radius whose plate area pi*a^2 is a finite float.
@@ -46,8 +46,7 @@ class DeviceGeometry:
                 f"radius_a must be positive and give a finite plate area pi*a^2 "
                 f"(at most {MAX_RADIUS_M:.6g} m), got {self.radius_a}"
             )
-        if not holds((self.thickness_t > 0) & (self.thickness_t < math.inf)):
-            raise ValueError(f"thickness_t must be positive, got {self.thickness_t}")
+        require_positive(thickness_t=self.thickness_t)
 
     @property
     def plate_area(self) -> float:

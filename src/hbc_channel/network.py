@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .columns import holds
+from .columns import holds, require_positive
 
 
 class SingularNetworkError(RuntimeError):
@@ -137,12 +137,7 @@ def build_channel_network(
         c_b: Body-to-earth capacitance, F (> 0).
         c_c: Inter-device coupling capacitance, F (>= 0; 0 omits the branch).
     """
-    for name, value in (
-        ("c_x_tx", c_x_tx), ("c_x_rx", c_x_rx), ("c_gb_rx", c_gb_rx),
-        ("c_l", c_l), ("c_b", c_b),
-    ):
-        if not holds((value > 0) & (value < math.inf)):
-            raise ValueError(f"{name} must be positive, got {value}")
+    require_positive(c_x_tx=c_x_tx, c_x_rx=c_x_rx, c_gb_rx=c_gb_rx, c_l=c_l, c_b=c_b)
     if not holds((c_c >= 0) & (c_c < math.inf)):
         raise ValueError(f"c_c must be nonnegative, got {c_c}")
 

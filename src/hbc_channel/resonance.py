@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .columns import holds, shown
+from .columns import holds, require_positive, shown
 
 DEFAULT_SERIES_RESISTANCE_OHM = 10.0
 DEFAULT_GRID_MIN_HZ = 10e3
@@ -58,10 +58,11 @@ class ResonanceCircuit:
     series_resistance: float = DEFAULT_SERIES_RESISTANCE_OHM
 
     def __post_init__(self) -> None:
-        for name in ("inductance", "capacitance_true", "series_resistance"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive, got {value}")
+        require_positive(
+            inductance=self.inductance,
+            capacitance_true=self.capacitance_true,
+            series_resistance=self.series_resistance,
+        )
         if not math.isfinite(self.series_resistance * self.series_resistance):
             raise ValueError(f"series_resistance {self.series_resistance} has no finite square")
 
@@ -190,8 +191,7 @@ def capacitance_from_resonance(f_r: float, inductance: float) -> float:
             f"resonant frequency must be positive and at most the {MAX_FREQUENCY_HZ:.6g} Hz "
             f"limit, got {f_r}"
         )
-    if not (inductance > 0 and math.isfinite(inductance)):
-        raise ValueError(f"inductance must be positive, got {inductance}")
+    require_positive(inductance=inductance)
     denominator = (2.0 * math.pi * f_r) ** 2 * inductance
     if not (denominator > 0 and math.isfinite(denominator)):
         raise ValueError(f"(2*pi*f_r)^2 * L = {denominator} gives no finite capacitance")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, build_scenario, load_dielectric_table
+from .config import ConfigError, ScenarioConfig, build_scenario
 from .transfer import (
     CAPACITANCE_NAMES, ChannelScenario, full_transfer, oracle_ratio, ratio_to_db, regime_flags,
     relative_error,
@@ -175,7 +175,7 @@ class SweepSpec:
             )
 
 
-def _evaluate(spec: SweepSpec, values, table) -> SweepResult:
+def _evaluate(spec: SweepSpec, values) -> SweepResult:
     """The sweep at ``values``: a column of swept values gives every row.
 
     A float gives that one row's scalars, which is how a failing row raises
@@ -183,7 +183,7 @@ def _evaluate(spec: SweepSpec, values, table) -> SweepResult:
     depends on: scenario, full transfer, oracle, loss.
     """
     column, drive, _ = SWEEP_KINDS[spec.kind]
-    scenario = build_scenario(drive(spec.base, values), table)
+    scenario = build_scenario(drive(spec.base, values))
     capacitances = [getattr(scenario, name) for name in CAPACITANCE_NAMES]
     if isinstance(values, np.ndarray):
         # Quantities the swept value does not reach become constant columns.
@@ -214,10 +214,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         SweepStepError: For the lowest failing row, with that row's own
             error (ConfigError, solver error, ...) as its ``__cause__``.
     """
-    _, drive, _ = SWEEP_KINDS[spec.kind]
-    # Every row shares the base config's dielectric table: load it once.
-    needs_table = drive(spec.base, spec.start).dielectric_thickness_m is not None
-    table = load_dielectric_table(spec.base) if needs_table else None
     values = np.linspace(spec.start, spec.stop, spec.steps)
     # Rows are independent, so a slice fails exactly when one of its rows
     # does.  On failure, halve: rows below lo pass and [lo, hi) holds a
@@ -225,20 +221,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     # their check sees them: numpy stays quiet.
     with np.errstate(all="ignore"):
         try:
-            return _evaluate(spec, values, table)
+            return _evaluate(spec, values)
         except Exception as exc:
             column_error = exc
         lo, hi = 0, len(values)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
-                _evaluate(spec, values[lo:mid], table)
+                _evaluate(spec, values[lo:mid])
                 lo = mid
             except Exception:
                 hi = mid
     value = values.tolist()[lo]
     try:
-        _evaluate(spec, value, table)
+        _evaluate(spec, value)
     except Exception as exc:
         raise SweepStepError(lo, value) from exc
     raise RuntimeError(f"sweep row {lo} failed as a column only") from column_error

@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .columns import fails, holds, shown
+from .columns import fails, holds, require_positive, shown
 from .constants import (
     COUPLED_COUPLING_F,
     DEFAULT_FREQUENCY_HZ,
@@ -59,12 +59,6 @@ def _checked_ratio(numerator: float, denominator: float, context: str) -> float:
     if not holds(ratio > 0):
         raise DegenerateScenarioError(f"{context}: ratio {ratio} is not positive")
     return ratio
-
-
-def _require_positive(**values: float) -> None:
-    for name, value in values.items():
-        if not holds((value > 0) & (value < math.inf)):
-            raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ class ChannelScenario:
     provenance: GeometricProvenance | None = None
 
     def __post_init__(self) -> None:
-        _require_positive(**{n: getattr(self, n) for n in CAPACITANCE_NAMES if n != "c_c"})
+        require_positive(**{n: getattr(self, n) for n in CAPACITANCE_NAMES if n != "c_c"})
         if not holds((self.c_c >= 0) & (self.c_c < math.inf)):
             raise ValueError(f"c_c must be nonnegative, got {self.c_c}")
 
@@ -142,7 +136,7 @@ def body_potential_ratio(c_return: float, c_b: float) -> float:
     standard approximation valid for C_return << C_B, and the nodal oracle
     recovers the exact value when needed.
     """
-    _require_positive(c_return=c_return, c_b=c_b)
+    require_positive(c_return=c_return, c_b=c_b)
     return _checked_ratio(c_return, c_b, "body_potential_ratio")
 
 
@@ -155,7 +149,7 @@ def extract_return_path(v_ratio: float, c_b: float) -> float:
     """
     if not (0.0 < v_ratio < 1.0):
         raise ValueError(f"v_ratio must be in (0, 1), got {v_ratio}")
-    _require_positive(c_b=c_b)
+    require_positive(c_b=c_b)
     return c_b * v_ratio
 
 
@@ -215,7 +209,6 @@ def geometric_transfer(
     c_f: float,
     c_l: float,
     c_b: float,
-    distant: bool,
     d: float | None = None,
     k: CouplingConstant | None = None,
 ) -> float:
@@ -227,6 +220,7 @@ def geometric_transfer(
                   / [k*pi*a^2/d + eps0*pi*a^2/t + C_F + C_L]
         distant:  drop both k*pi*a^2/d terms
 
+    The form is coupled exactly when both ``d`` and ``k`` are given.
     Composing the capacitance laws and calling :func:`simplified_transfer`
     yields identical values to better than 1e-12 relative.
 
@@ -239,13 +233,12 @@ def geometric_transfer(
         c_f: Receiver fringe capacitance, F (>= 0).
         c_l: Load capacitance, F.
         c_b: Body-to-earth capacitance, F.
-        distant: True drops the coupling terms; False requires d and k.
         d: Device separation, m (coupled form only).
         k: Coupling constant (coupled form only).
 
     Raises:
-        ValueError: If radii differ, inputs are invalid, or d/k are missing
-            for the coupled form.
+        ValueError: If radii differ, inputs are invalid, or only one of d
+            and k is given.
     """
     if not math.isclose(tx.radius_a, rx.radius_a, rel_tol=1e-12):
         raise ValueError(
@@ -253,17 +246,16 @@ def geometric_transfer(
         )
     if c_f < 0 or not math.isfinite(c_f):
         raise ValueError(f"c_f must be nonnegative, got {c_f}")
-    _require_positive(c_l=c_l, c_b=c_b)
+    require_positive(c_l=c_l, c_b=c_b)
 
     a = tx.radius_a
-    if distant:
-        c_c = 0.0
-    else:
+    c_c = 0.0
+    if d is not None or k is not None:
         if d is None or k is None:
             raise ValueError("coupled geometric form requires d and k")
         if d <= 0:
             raise ValueError(f"device separation d must be positive, got {d}")
-        c_c = 0.0 if math.isinf(d) else k.k * math.pi * a**2 / d
+        c_c = k.k * math.pi * a**2 / d
 
     x_tx_cap = return_path_capacitance(tx, x_tx)
     x_rx_cap = return_path_capacitance(rx, x_rx)
@@ -278,8 +270,7 @@ def ratio_to_db(r: float) -> float:
     Channel *loss* is the negative of this value.  A column is converted row
     by row with ``math.log10``: numpy's log10 need not round the same way.
     """
-    if not holds((r > 0) & (r < math.inf)):
-        raise ValueError(f"ratio must be positive, got {r}")
+    require_positive(ratio=r)
     if isinstance(r, np.ndarray):
         return 20.0 * np.array(list(map(math.log10, r.tolist())))
     return 20.0 * math.log10(r)
@@ -362,8 +353,7 @@ def compare_closed_forms(
             or the nodal solve.
         ValueError: If frequency is not positive.
     """
-    if not (frequency > 0 and math.isfinite(frequency)):
-        raise ValueError(f"frequency must be positive, got {frequency}")
+    require_positive(frequency=frequency)
     ratios: dict[str, float] = {
         "distant": rx_transfer_distant(s),
         "simplified": simplified_transfer(s),
@@ -372,14 +362,10 @@ def compare_closed_forms(
     if s.has_full_geometry():
         p = s.provenance
         assert p is not None
-        ratios["geometric_distant"] = geometric_transfer(
-            p.tx_geom, p.rx_geom, p.x_tx, p.x_rx, p.c_f, s.c_l, s.c_b, distant=True
-        )
+        inputs = (p.tx_geom, p.rx_geom, p.x_tx, p.x_rx, p.c_f, s.c_l, s.c_b)
+        ratios["geometric_distant"] = geometric_transfer(*inputs)
         if p.d is not None and p.k is not None:
-            ratios["geometric_full"] = geometric_transfer(
-                p.tx_geom, p.rx_geom, p.x_tx, p.x_rx, p.c_f, s.c_l, s.c_b,
-                distant=False, d=p.d, k=p.k,
-            )
+            ratios["geometric_full"] = geometric_transfer(*inputs, d=p.d, k=p.k)
 
     ratios["oracle"] = oracle_ratio([getattr(s, name) for name in CAPACITANCE_NAMES])
 

@@ -242,7 +242,7 @@ def test_criterion_6_algebraic_identities():
         )
         direct = geometric_transfer(
             geom, geom, x_tx=x_tx, x_rx=x_rx, c_f=c_f, c_l=c_l, c_b=c_b,
-            distant=False, d=d, k=k,
+            d=d, k=k,
         )
         worst_compose = max(
             worst_compose,

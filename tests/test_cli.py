@@ -48,6 +48,25 @@ def tiny_return_path_config(tmp_path, name, return_path_f):
     return path
 
 
+def overflowing_coupling_config(tmp_path, name, **replacements):
+    """Sample config ``name`` with 100 km device radii and k = 1e300 F/m, so
+    the coupling law k*pi*a^2/d overflows at every separation, and each
+    ``key=value`` of ``replacements`` substituted for the line it starts."""
+    lines = []
+    for line in (CONFIG_DIR / name).read_text().splitlines():
+        key = line.split(" = ")[0]
+        if key == "radius_m":
+            line = "radius_m = 1e5"
+        elif key == "k_f_per_m":
+            line = "k_f_per_m = 1e300"
+        elif key in replacements:
+            line = f"{key} = {replacements[key]}"
+        lines.append(line)
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 class TestEval:
     def test_human_readable_report(self):
         proc = run_cli("eval", str(CONFIG_DIR / "sample_geometric.cfg"))
@@ -102,6 +121,33 @@ class TestEval:
         proc = run_cli("eval", str(config))
         assert proc.returncode == 1
         assert "[tx] radius_m" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_overflowing_plate_capacitance_exits_1_naming_keys(self, tmp_path):
+        """eps0*pi*a^2/t overflows for a 1e150 m radius over a 1e-320 m gap."""
+        config = geometric_config(tmp_path)
+        config.write_text(config.read_text().replace(
+            "[rx]\nradius_m = 0.03\nplate_separation_m = 0.005",
+            "[rx]\nradius_m = 1e150\nplate_separation_m = 1e-320",
+        ))
+        proc = run_cli("eval", str(config))
+        assert proc.returncode == 1
+        assert "config error: [rx] radius_m, plate_separation_m and fringe_f: " in proc.stderr
+        assert "plate_to_plate_capacitance produced invalid capacitance inf" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("separation", ["0.3", "0.7"], ids=["near", "beyond-cutoff"])
+    def test_overflowing_coupling_law_exits_1_naming_keys(self, tmp_path, separation):
+        """The coupling law runs at every separation, so it is rejected
+        beyond decouple_m (0.5 m) too."""
+        config = overflowing_coupling_config(
+            tmp_path, "sample_geometric.cfg", separation_m=separation,
+            dielectric_table=CONFIG_DIR / "dielectric_cb.csv",
+        )
+        proc = run_cli("eval", str(config))
+        assert proc.returncode == 1
+        assert "[tx] radius_m, [link] k_f_per_m and the device separation: " in proc.stderr
+        assert "coupling_capacitance produced invalid capacitance inf" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
@@ -246,6 +292,36 @@ class TestSweep:
         assert "[body] segment_length_m" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_overflowing_coupling_law_beyond_cutoff_exits_1(self, tmp_path):
+        """Every row lies beyond decouple_m, yet the law runs on each one, so
+        row 0 fails as a column and on its own alike."""
+        config = overflowing_coupling_config(
+            tmp_path, "separation_sweep.cfg", min="0.6", max="1.0"
+        )
+        proc = run_cli("sweep", str(config), "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == 1
+        assert (
+            "config error: sweep step 0 (value 0.6): [tx] radius_m, [link] k_f_per_m"
+            in proc.stderr
+        )
+        assert "Traceback" not in proc.stderr
+
+    def test_missing_table_exits_1_naming_table(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("HBC_TABLE_DIR", raising=False)
+        config = tmp_path / "dielectric.cfg"
+        config.write_text(
+            (CONFIG_DIR / "dielectric_sweep.cfg").read_text().replace(
+                "dielectric_table = dielectric_cb.csv", "dielectric_table = nowhere.csv"
+            )
+        )
+        proc = run_cli("sweep", str(config), "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == 1
+        assert (
+            "config error: sweep step 0 (value 0.1): dielectric table 'nowhere.csv' not found"
+            in proc.stderr
+        )
+        assert "Traceback" not in proc.stderr
+
     def test_config_without_sweep_section_exits_1(self):
         proc = run_cli(
             "sweep", str(CONFIG_DIR / "default_direct.cfg"), "--out", "/tmp/x.csv"
@@ -343,6 +419,34 @@ class TestResonance:
         proc = run_cli("resonance", str(config))
         assert proc.returncode == 1
         assert "capacitance_f" in proc.stderr
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "command, name, old, new",
+        [
+            ("sweep", "separation_sweep.cfg", "steps = 46", f"steps = {10**15}"),
+            (
+                "resonance", "resonance.cfg", "series_resistance_ohm = 10",
+                f"series_resistance_ohm = 10\npoints = {10**15}",
+            ),
+        ],
+        ids=["sweep-steps", "resonance-points"],
+    )
+    def test_impossible_allocation_exits_1(self, tmp_path, command, name, old, new):
+        """10**15 float64 values (7 PiB) exceed the address space, so numpy's
+        allocation fails at once without touching memory."""
+        config = tmp_path / name
+        config.write_text(
+            (CONFIG_DIR / name).read_text().replace(old, new).replace(
+                "dielectric_table = dielectric_cb.csv",
+                f"dielectric_table = {CONFIG_DIR / 'dielectric_cb.csv'}",
+            )
+        )
+        proc = run_cli(command, str(config), "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("hbc: out of memory: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestInProcess:

@@ -39,7 +39,7 @@ from hbc_channel import (
     shadowing_factor,
     solve_transfer,
 )
-from hbc_channel.config import body_capacitance, load_dielectric_table
+from hbc_channel.config import body_capacitance
 from hbc_channel.sweep import SWEEP_KINDS
 
 TABLE = str(CONFIG_DIR / "dielectric_cb.csv")
@@ -138,10 +138,10 @@ def base_and_range(data, kind):
     return base, start, between(data, start + 0.01, 0.6)
 
 
-def evaluate_row(spec, value, table):
+def evaluate_row(spec, value):
     """One row as the scalar functions give it, in the order a row fails."""
     _, drive, _ = SWEEP_KINDS[spec.kind]
-    scenario = build_scenario(drive(spec.base, value), table)
+    scenario = build_scenario(drive(spec.base, value))
     ratio = full_transfer(scenario)
     row = {name: getattr(scenario, name) for name in FIELDS}
     if spec.include_oracle:
@@ -152,19 +152,11 @@ def evaluate_row(spec, value, table):
     return row
 
 
-def row_table(spec):
-    _, drive, _ = SWEEP_KINDS[spec.kind]
-    if drive(spec.base, spec.start).dielectric_thickness_m is None:
-        return None
-    return load_dielectric_table(spec.base)
-
-
 def first_failure(spec):
     """(step, cause) of the first row that fails, scanning row by row."""
-    table = row_table(spec)
     for step, value in enumerate(np.linspace(spec.start, spec.stop, spec.steps).tolist()):
         try:
-            evaluate_row(spec, value, table)
+            evaluate_row(spec, value)
         except Exception as exc:  # noqa: BLE001 - any row error is the expectation
             return step, exc
     return None, None
@@ -181,8 +173,7 @@ def test_columns_equal_row_by_row_evaluation(kind, oracle, data):
                      include_oracle=oracle)
     result = run_sweep(spec)
     values = np.linspace(start, stop, steps).tolist()
-    table = row_table(spec)
-    rows = [evaluate_row(spec, value, table) for value in values]
+    rows = [evaluate_row(spec, value) for value in values]
 
     assert result.swept.tolist() == values
     for name in FIELDS:
@@ -227,6 +218,17 @@ def failing_spec(data, how, oracle):
         )
         return SweepSpec("separation", between(data, 0.05, 0.45), between(data, 0.55, 1.5),
                          steps, base, oracle)
+    if how == "overflowing_coupling_beyond_cutoff":
+        # Wholly beyond the cutoff, with a coupling law that overflows: the
+        # law runs on every row, so row 0 fails, as a column and on its own.
+        base = ScenarioConfig(
+            tx=SideConfig(radius_m=1e5, plate_separation_m=0.005, shadowing_x=0.5),
+            rx=SideConfig(radius_m=1e5, plate_separation_m=0.005, shadowing_x=0.5,
+                          fringe_f=0.75e-12, load_f=10e-12),
+            c_b_f=150.838e-12, k_f_per_m=between(data, 1e298, 1e300),
+        )
+        return SweepSpec("separation", between(data, 0.5, 0.9), between(data, 0.95, 2.0),
+                         steps, base, oracle)
     assert how == "inconsistent_coupling"
     base, start, stop = base_and_range(data, "radius")
     base = replace(base, k_f_per_m=2e-12, separation_m=0.1,
@@ -237,7 +239,7 @@ def failing_spec(data, how, oracle):
 @pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
 @pytest.mark.parametrize("how", [
     "coinciding_positions", "beyond_table", "beyond_profile", "degenerate_beyond_cutoff",
-    "inconsistent_coupling",
+    "inconsistent_coupling", "overflowing_coupling_beyond_cutoff",
 ])
 @SETTINGS
 @given(data=st.data())
@@ -266,14 +268,17 @@ DIRECT_SIDES = dict(
         (lambda: full_transfer(ChannelScenario(np.array([1e-12, 1e-25]), 1e-25, 1e-25, 1e-25,
                                                1e-10, 0.0)), DegenerateScenarioError),
         (lambda: body_capacitance(ScenarioConfig(
-            c_b_f=1e-10, dielectric_thickness_m=np.array([0.3, 0.4])), SMALL_TABLE), ConfigError),
+            c_b_f=1.899e-10, dielectric_thickness_m=np.array([0.3, 0.4]),
+            dielectric_table=TABLE)), ConfigError),
         (lambda: build_scenario(ScenarioConfig(
             **DIRECT_SIDES, c_b_f=1e-10, coupling_f=0.0, segment_length_m=0.65)), ConfigError),
         (lambda: shadowing_factor(np.array([0.5, 0.95]),
                                   ShadowingProfile("arm", ((0.1, 0.3), (0.9, 0.5)))), ValueError),
         (lambda: body_capacitance_lookup(np.array([0.4, 9.0]), SMALL_TABLE), ValueError),
+        (lambda: build_channel_network(np.array([1e-12, -1e-12]), 1e-12, 3e-12, 1e-11, 1e-10,
+                                       0.0), ValueError),
     ],
-    ids=["checked-ratio", "pick", "separation", "shadowing", "table-lookup"],
+    ids=["checked-ratio", "pick", "separation", "shadowing", "table-lookup", "positive"],
 )
 def test_failing_column_raises_documented_error(call, error):
     """A check that fails on a column passed straight to a model function

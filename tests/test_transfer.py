@@ -216,22 +216,22 @@ class TestGeometricTransfer:
     ARGS = dict(x_tx=0.5, x_rx=0.5, c_f=0.75e-12, c_l=10e-12, c_b=150.838e-12)
 
     def test_distant_reference_value(self):
-        value = geometric_transfer(self.GEOM, self.GEOM, distant=True, **self.ARGS)
+        value = geometric_transfer(self.GEOM, self.GEOM, **self.ARGS)
         assert value == pytest.approx(EQ_GEOMETRIC_DISTANT, rel=1e-12)
         assert ratio_to_db(value) == pytest.approx(-66.5, abs=0.05)
 
     def test_coupled_exceeds_distant(self):
-        distant = geometric_transfer(self.GEOM, self.GEOM, distant=True, **self.ARGS)
+        distant = geometric_transfer(self.GEOM, self.GEOM, **self.ARGS)
         coupled = geometric_transfer(
-            self.GEOM, self.GEOM, distant=False, d=0.1, k=CouplingConstant(2e-12),
+            self.GEOM, self.GEOM, d=0.1, k=CouplingConstant(2e-12),
             **self.ARGS,
         )
         assert coupled > distant
 
     def test_coupled_converges_to_distant_at_large_separation(self):
-        distant = geometric_transfer(self.GEOM, self.GEOM, distant=True, **self.ARGS)
+        distant = geometric_transfer(self.GEOM, self.GEOM, **self.ARGS)
         far = geometric_transfer(
-            self.GEOM, self.GEOM, distant=False, d=1e6, k=CouplingConstant(2e-12),
+            self.GEOM, self.GEOM, d=1e6, k=CouplingConstant(2e-12),
             **self.ARGS,
         )
         assert abs(far - distant) / distant < 1e-6
@@ -239,18 +239,20 @@ class TestGeometricTransfer:
     def test_rejects_mismatched_radii(self):
         other = DeviceGeometry(0.02, 0.005)
         with pytest.raises(ValueError, match="equal radii"):
-            geometric_transfer(self.GEOM, other, distant=True, **self.ARGS)
+            geometric_transfer(self.GEOM, other, **self.ARGS)
 
     def test_coupled_requires_d_and_k(self):
         with pytest.raises(ValueError, match="requires d and k"):
-            geometric_transfer(self.GEOM, self.GEOM, distant=False, **self.ARGS)
+            geometric_transfer(self.GEOM, self.GEOM, d=0.1, **self.ARGS)
+        with pytest.raises(ValueError, match="requires d and k"):
+            geometric_transfer(self.GEOM, self.GEOM, k=CouplingConstant(2e-12), **self.ARGS)
 
     def test_distant_strictly_increasing_in_radius_and_bounded(self):
         radii = np.linspace(0.005, 0.25, 60)
         values = [
             geometric_transfer(
                 DeviceGeometry(float(a), 0.005), DeviceGeometry(float(a), 0.005),
-                distant=True, **self.ARGS,
+                **self.ARGS,
             )
             for a in radii
         ]
@@ -258,23 +260,15 @@ class TestGeometricTransfer:
         # Saturation: the large-radius limit stays finite.
         huge = geometric_transfer(
             DeviceGeometry(100.0, 0.005), DeviceGeometry(100.0, 0.005),
-            distant=True, **self.ARGS,
-        )
-        assert values[-1] < huge < 1.0
-
-    def test_distant_independent_of_separation(self):
-        value = geometric_transfer(self.GEOM, self.GEOM, distant=True, **self.ARGS)
-        also = geometric_transfer(
-            self.GEOM, self.GEOM, distant=True, d=0.05, k=CouplingConstant(2e-12),
             **self.ARGS,
         )
-        assert value == also
+        assert values[-1] < huge < 1.0
 
     def test_coupled_strictly_decreasing_in_separation(self):
         k = CouplingConstant(2e-12)
         values = [
             geometric_transfer(
-                self.GEOM, self.GEOM, distant=False, d=float(d), k=k, **self.ARGS
+                self.GEOM, self.GEOM, d=float(d), k=k, **self.ARGS
             )
             for d in np.linspace(0.02, 1.0, 40)
         ]
@@ -304,7 +298,7 @@ class TestGeometricTransfer:
             )
             direct = geometric_transfer(
                 geom, geom, x_tx=x_tx, x_rx=x_rx, c_f=c_f, c_l=c_l, c_b=c_b,
-                distant=False, d=d, k=k,
+                d=d, k=k,
             )
             assert abs(direct - simplified_transfer(composed)) / direct < 1e-12
 
@@ -314,7 +308,6 @@ class TestGeometricTransfer:
             )
             direct0 = geometric_transfer(
                 geom, geom, x_tx=x_tx, x_rx=x_rx, c_f=c_f, c_l=c_l, c_b=c_b,
-                distant=True,
             )
             assert abs(direct0 - simplified_transfer(composed0)) / direct0 < 1e-12
 
