@@ -43,3 +43,13 @@ def require_positive(**values) -> None:
     for name, value in values.items():
         if not holds((value > 0) & (value < math.inf)):
             raise ValueError(f"{name} must be positive, got {shown(value, '')}")
+
+
+def require_nonnegative(**values) -> None:
+    """Raise ``ValueError`` for the first value that is negative or not finite.
+
+    A column must be so on every row.
+    """
+    for name, value in values.items():
+        if not holds((value >= 0) & (value < math.inf)):
+            raise ValueError(f"{name} must be nonnegative, got {shown(value, '')}")

@@ -14,7 +14,9 @@ EPSILON_0 = 8.8541878128e-12
 # functions themselves are frequency-flat.
 EQS_MAX_FREQUENCY_HZ = 1e6
 
-# Analysis frequency of the nodal oracle when none is configured, Hz.
+# Channel frequency when none is configured, Hz.  The capacitive transfer
+# does not depend on it; it is echoed in reports and checked against
+# EQS_MAX_FREQUENCY_HZ.
 DEFAULT_FREQUENCY_HZ = 1e5
 
 # Inter-device coupling regime thresholds, F.  Below DISTANT the coupling

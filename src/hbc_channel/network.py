@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .columns import holds, require_positive
+from .columns import holds, require_nonnegative, require_positive
 
 
 class SingularNetworkError(RuntimeError):
@@ -33,30 +33,28 @@ class SingularNetworkError(RuntimeError):
 
 @dataclass(frozen=True)
 class CapNetwork:
-    """Capacitive network with an ideal source branch and an output port.
+    """Capacitive network with a unit source branch and an output port.
+
+    Node 0 is earth ground, the reference at potential 0.
 
     Attributes:
         node_count: Number of nodes, ids 0..node_count-1.
-        reference_node: Earth-ground node id (potential 0).
         branches: (node_i, node_j, capacitance_farads) tuples; parallel
             branches between the same pair are allowed.  In a batch a
             capacitance column may be zero on rows where the branch is absent.
-        source: (node_plus, node_minus, amplitude_volts) ideal source.
+        source: (node_plus, node_minus) ideal 1 V source.
         output: (node_plus, node_minus) port whose voltage defines the ratio.
     """
 
     node_count: int
-    reference_node: int
     branches: tuple[tuple[int, int, float], ...]
-    source: tuple[int, int, float]
+    source: tuple[int, int]
     output: tuple[int, int]
 
     def __post_init__(self) -> None:
         n = self.node_count
         if n < 2:
             raise ValueError(f"network needs at least 2 nodes, got {n}")
-        if not 0 <= self.reference_node < n:
-            raise ValueError(f"reference node {self.reference_node} out of range")
         for i, j, c in self.branches:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"branch ({i}, {j}) references a node out of range")
@@ -68,11 +66,9 @@ class CapNetwork:
                 valid = c > 0 and math.isfinite(c)
             if not valid:
                 raise ValueError(f"branch ({i}, {j}) capacitance must be positive, got {c}")
-        sp, sm, amp = self.source
+        sp, sm = self.source
         if not (0 <= sp < n and 0 <= sm < n) or sp == sm:
             raise ValueError(f"source nodes ({sp}, {sm}) must be a distinct in-range pair")
-        if not (amp != 0 and math.isfinite(amp)):
-            raise ValueError(f"source amplitude must be nonzero, got {amp}")
         op, om = self.output
         if not (0 <= op < n and 0 <= om < n) or op == om:
             raise ValueError(f"output nodes ({op}, {om}) must be a distinct in-range pair")
@@ -81,8 +77,7 @@ class CapNetwork:
         """Debug branch list: one `node_i node_j C_farads` line per branch,
         plus SRC/OUT lines."""
         lines = [f"{i} {j} {c:.12g}" for i, j, c in self.branches]
-        sp, sm, amp = self.source
-        lines.append(f"SRC {sp} {sm} {amp:.12g}")
+        lines.append(f"SRC {self.source[0]} {self.source[1]} 1")
         lines.append(f"OUT {self.output[0]} {self.output[1]}")
         return "\n".join(lines)
 
@@ -138,8 +133,7 @@ def build_channel_network(
         c_c: Inter-device coupling capacitance, F (>= 0; 0 omits the branch).
     """
     require_positive(c_x_tx=c_x_tx, c_x_rx=c_x_rx, c_gb_rx=c_gb_rx, c_l=c_l, c_b=c_b)
-    if not holds((c_c >= 0) & (c_c < math.inf)):
-        raise ValueError(f"c_c must be nonnegative, got {c_c}")
+    require_nonnegative(c_c=c_c)
 
     branches = [
         (NODE_BODY, NODE_EARTH, c_b),
@@ -152,9 +146,8 @@ def build_channel_network(
         branches.append((NODE_TX_GROUND, NODE_RX_GROUND, c_c))
     return CapNetwork(
         node_count=4,
-        reference_node=NODE_EARTH,
         branches=tuple(branches),
-        source=(NODE_BODY, NODE_TX_GROUND, 1.0),
+        source=(NODE_BODY, NODE_TX_GROUND),
         output=(NODE_BODY, NODE_RX_GROUND),
     )
 
@@ -162,7 +155,7 @@ def build_channel_network(
 def well_posedness_check(net: CapNetwork) -> tuple[int, ...]:
     """Diagnose floating nodes.
 
-    A node is floating when it cannot reach the reference node through the
+    A node is floating when it cannot reach earth (node 0) through the
     union of capacitive branches and the source branch.  Returns the sorted
     tuple of floating node ids; an empty tuple means the network is well
     posed.
@@ -171,12 +164,12 @@ def well_posedness_check(net: CapNetwork) -> tuple[int, ...]:
     for i, j, _ in net.branches:
         adjacency[i].add(j)
         adjacency[j].add(i)
-    sp, sm, _ = net.source
+    sp, sm = net.source
     adjacency[sp].add(sm)
     adjacency[sm].add(sp)
 
-    seen = {net.reference_node}
-    stack = [net.reference_node]
+    seen = {0}
+    stack = [0]
     while stack:
         node = stack.pop()
         for nxt in adjacency[node]:
@@ -189,8 +182,9 @@ def well_posedness_check(net: CapNetwork) -> tuple[int, ...]:
 def solve_transfer(net: CapNetwork) -> TransferSolution:
     """Solve the network by modified nodal analysis.
 
-    Unknowns are the non-reference node potentials plus the source branch
-    current, and charge conservation holds at every non-source node.
+    Unknown k-1 is the potential of node k (node 0 is earth, at potential
+    0) and the last unknown is the source branch current; charge
+    conservation holds at every non-source node.
 
     Every branch admittance of a purely capacitive network is j*w*C, so the
     j*w factor cancels out of the node potentials: the solve is real and
@@ -202,7 +196,7 @@ def solve_transfer(net: CapNetwork) -> TransferSolution:
     in one call.
 
     Returns:
-        TransferSolution with ratio = (V_out+ - V_out-) / source amplitude.
+        TransferSolution with ratio = V_out+ - V_out- for the 1 V source.
 
     Raises:
         SingularNetworkError: If a node is floating (named in the message)
@@ -215,11 +209,7 @@ def solve_transfer(net: CapNetwork) -> TransferSolution:
             floating_nodes=floating,
         )
 
-    # Unknown ordering: non-reference nodes in id order, then source current.
-    unknown_index = {
-        node: k for k, node in enumerate(n for n in range(net.node_count) if n != net.reference_node)
-    }
-    m = len(unknown_index)
+    m = net.node_count - 1  # the source current is unknown m
     caps = [c for _, _, c in net.branches]
     batch = next((c.shape for c in caps if isinstance(c, np.ndarray)), ())
     c_ref = functools.reduce(np.maximum, caps) if batch else max(caps)
@@ -229,24 +219,24 @@ def solve_transfer(net: CapNetwork) -> TransferSolution:
     a = [[zero] * (m + 1) for _ in range(m + 1)]
     for i, j, c in net.branches:
         b = c / c_ref
-        p, q = unknown_index.get(i), unknown_index.get(j)
-        if p is not None:
+        p, q = i - 1, j - 1
+        if i:
             a[p][p] = a[p][p] + b
-        if q is not None:
+        if j:
             a[q][q] = a[q][q] + b
-        if p is not None and q is not None:
+        if i and j:
             a[p][q] = a[p][q] - b
             a[q][p] = a[q][p] - b
 
-    sp, sm, amplitude = net.source
+    sp, sm = net.source
     for node, sign in ((sp, 1.0), (sm, -1.0)):
-        if node != net.reference_node:
-            a[unknown_index[node]][m] = a[m][unknown_index[node]] = zero + sign
+        if node:
+            a[node - 1][m] = a[m][node - 1] = zero + sign
     a = np.array(a)
     # One right-hand column per system: a stack of (m+1, 1) matrices is read
     # the same way by every numpy version.
     rhs = np.zeros((m + 1, 1) + batch)
-    rhs[m, 0] = amplitude
+    rhs[m, 0] = 1.0
     if batch:  # matrix axes last for the stacked solve
         a, rhs = (np.moveaxis(x, (0, 1), (-2, -1)) for x in (a, rhs))
 
@@ -258,12 +248,9 @@ def solve_transfer(net: CapNetwork) -> TransferSolution:
     if not holds(np.isfinite(solution).all(axis=0)):
         raise SingularNetworkError("nodal system is numerically singular")
 
-    potentials = [0.0] * net.node_count
-    for node, k in unknown_index.items():
-        potentials[node] = solution[k]
-
+    potentials = [0.0, *solution[:m]]
     op, om = net.output
-    ratio = (potentials[op] - potentials[om]) / amplitude
+    ratio = potentials[op] - potentials[om]
     if batch:
         rows = np.stack(np.broadcast_arrays(*potentials), axis=-1)
         return TransferSolution(ratio=ratio, node_potentials=rows)

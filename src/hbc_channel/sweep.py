@@ -102,7 +102,6 @@ class SweepResult:
     tuple per row.  The oracle columns are ``None`` without the oracle.
     """
 
-    kind: str
     swept_name: str
     swept: np.ndarray
     capacitance: dict[str, np.ndarray]
@@ -195,7 +194,6 @@ def _evaluate(spec: SweepSpec, values) -> SweepResult:
         oracle = oracle_ratio(capacitances)
         oracle_error = relative_error(ratio, oracle)
     return SweepResult(
-        kind=spec.kind,
         swept_name=column,
         swept=values,
         capacitance=dict(zip(_CAP_COLUMNS, capacitances)),
@@ -218,7 +216,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     # Rows are independent, so a slice fails exactly when one of its rows
     # does.  On failure, halve: rows below lo pass and [lo, hi) holds a
     # failing row.  Rows that fail may overflow or divide by zero before
-    # their check sees them: numpy stays quiet.
+    # their check sees them, in a slice or alone (where a derived value can
+    # still be a numpy scalar): numpy stays quiet.
     with np.errstate(all="ignore"):
         try:
             return _evaluate(spec, values)
@@ -232,11 +231,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 lo = mid
             except Exception:
                 hi = mid
-    value = values.tolist()[lo]
-    try:
-        _evaluate(spec, value)
-    except Exception as exc:
-        raise SweepStepError(lo, value) from exc
+        value = values.tolist()[lo]
+        try:
+            _evaluate(spec, value)
+        except Exception as exc:
+            raise SweepStepError(lo, value) from exc
     raise RuntimeError(f"sweep row {lo} failed as a column only") from column_error
 
 
@@ -288,8 +287,7 @@ def read_sweep_csv(path: str | Path) -> SweepResult:
     if not records:
         raise ValueError(f"{path}: empty sweep CSV")
     header = records[0]
-    column_to_kind = {column: kind for kind, column in SWEPT_COLUMN.items()}
-    if header[0] not in column_to_kind:
+    if header[0] not in SWEPT_COLUMN.values():
         raise ValueError(f"{path}: unknown swept column {header[0]!r}")
     include_oracle = header[-2:] == list(_ORACLE_COLUMNS)
     expected = [header[0], *_CAP_COLUMNS, "ratio", "loss_db", "flags"]
@@ -306,7 +304,6 @@ def read_sweep_csv(path: str | Path) -> SweepResult:
         np.array([float(record[i]) for record in body]) for i in range(len(header)) if i != 9
     ]
     return SweepResult(
-        kind=column_to_kind[header[0]],
         swept_name=header[0],
         swept=numbers[0],
         capacitance=dict(zip(_CAP_COLUMNS, numbers[1:7])),

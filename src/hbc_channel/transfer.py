@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .columns import fails, holds, require_positive, shown
+from .columns import fails, holds, require_nonnegative, require_positive, shown
 from .constants import (
     COUPLED_COUPLING_F,
     DEFAULT_FREQUENCY_HZ,
@@ -93,8 +93,7 @@ class ChannelScenario:
 
     def __post_init__(self) -> None:
         require_positive(**{n: getattr(self, n) for n in CAPACITANCE_NAMES if n != "c_c"})
-        if not holds((self.c_c >= 0) & (self.c_c < math.inf)):
-            raise ValueError(f"c_c must be nonnegative, got {self.c_c}")
+        require_nonnegative(c_c=self.c_c)
 
     def has_full_geometry(self) -> bool:
         """True when the provenance is complete enough for the geometric forms."""
@@ -122,7 +121,7 @@ class TransferReport:
     ratios: dict[str, float]
     relative_errors: dict[str, float]
     flags: tuple[str, ...]
-    frequency_hz: float = DEFAULT_FREQUENCY_HZ
+    frequency_hz: float
 
     def loss_db(self, name: str) -> float:
         """Channel loss of one form in dB (positive for attenuation)."""
@@ -175,8 +174,9 @@ def full_transfer(s: ChannelScenario) -> float:
                   + (C_B + C_x-Rx)*(C_L + C_GB-Rx + C_x-Tx)
                   + C_x-Tx*(C_L + C_GB-Rx)
 
-    The result lies in (0, 1) for positive capacitances, increases strictly
-    with C_c and decreases strictly with C_L.
+    The result lies in (0, 1] for positive capacitances (it rounds to 1 when
+    C_c dominates), increases strictly with C_c and decreases strictly with
+    C_L.
     """
     shared = s.c_c * (s.c_b + s.c_x_rx + s.c_x_tx)
     numerator = shared + s.c_x_rx * s.c_x_tx
@@ -244,8 +244,7 @@ def geometric_transfer(
         raise ValueError(
             f"geometric form assumes equal radii, got tx={tx.radius_a} rx={rx.radius_a}"
         )
-    if c_f < 0 or not math.isfinite(c_f):
-        raise ValueError(f"c_f must be nonnegative, got {c_f}")
+    require_nonnegative(c_f=c_f)
     require_positive(c_l=c_l, c_b=c_b)
 
     a = tx.radius_a

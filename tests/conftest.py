@@ -81,9 +81,8 @@ def make_random_network(rng: np.random.Generator, min_ratio: float = 1e-3):
         output_pair = rng.choice(n, 2, replace=False)
         net = CapNetwork(
             node_count=n,
-            reference_node=0,
             branches=tuple(branches),
-            source=(int(source_pair[0]), int(source_pair[1]), 1.0),
+            source=(int(source_pair[0]), int(source_pair[1])),
             output=(int(output_pair[0]), int(output_pair[1])),
         )
         ratio = solve_transfer(net).ratio

@@ -285,7 +285,7 @@ def test_criterion_7_solver_properties():
         r1 = solve_transfer(net).ratio
         lam = float(10 ** rng.uniform(-2, 2))
         scaled = CapNetwork(
-            net.node_count, net.reference_node,
+            net.node_count,
             tuple((i, j, c * lam) for i, j, c in net.branches),
             net.source, net.output,
         )

@@ -306,6 +306,34 @@ class TestSweep:
         )
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "old, new, code, message",
+        [
+            (
+                "max = 30e-4", "max = 1e300",
+                2,
+                "numerical error: sweep step 1 (value 4e+298): full_transfer: ratio nan",
+            ),
+            (
+                "separation_m = 0.05", "separation_m = 5e-324",
+                1,
+                "config error: sweep step 0 (value 0.0005): [tx] radius_m, [link] k_f_per_m",
+            ),
+        ],
+        ids=["overflowing-area", "subnormal-separation"],
+    )
+    def test_overflowing_area_row_exits_quietly(self, tmp_path, old, new, code, message):
+        """The lowest failing row of a device_area sweep, evaluated alone,
+        overflows with numpy scalars; its check reports it and numpy prints
+        no warning."""
+        config = tmp_path / "area.cfg"
+        config.write_text((CONFIG_DIR / "area_sweep.cfg").read_text().replace(old, new))
+        proc = run_cli("sweep", str(config), "--out", str(tmp_path / "out.csv"))
+        assert proc.returncode == code
+        assert message in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_table_exits_1_naming_table(self, tmp_path, monkeypatch):
         monkeypatch.delenv("HBC_TABLE_DIR", raising=False)
         config = tmp_path / "dielectric.cfg"

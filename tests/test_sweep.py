@@ -5,6 +5,7 @@ import pytest
 
 from hbc_channel import (
     ConfigError,
+    DegenerateScenarioError,
     SweepSpec,
     SweepStepError,
     emit_csv,
@@ -229,6 +230,18 @@ class TestSweepSpecValidation:
         assert info.value.value == 0.97
         assert isinstance(info.value.__cause__, ConfigError)
         assert "positions coincide" in str(info.value.__cause__)
+
+    def test_overflowing_area_row_raises_its_own_error(self, config_dir):
+        """Row 1 of a device_area sweep up to 1e300 m^2 overflows the full
+        form's products.  Evaluated alone, its radius sqrt(area/pi) is a
+        numpy scalar; the overflow stays quiet (the suite turns warnings into
+        errors) and the row's own ratio check is the cause."""
+        base = load_config_file(config_dir / "area_sweep.cfg").scenario
+        spec = SweepSpec(kind="device_area", start=5e-4, stop=1e300, steps=26, base=base)
+        with pytest.raises(SweepStepError, match=r"sweep step 1 \(value 4e\+298\)") as info:
+            run_sweep(spec)
+        assert isinstance(info.value.__cause__, DegenerateScenarioError)
+        assert "full_transfer: ratio nan is not positive" in str(info.value.__cause__)
 
     def test_lower_row_failing_a_later_check_is_named(self):
         """The profile check runs first and fails on rows 6-8 (beyond the

@@ -277,8 +277,11 @@ DIRECT_SIDES = dict(
         (lambda: body_capacitance_lookup(np.array([0.4, 9.0]), SMALL_TABLE), ValueError),
         (lambda: build_channel_network(np.array([1e-12, -1e-12]), 1e-12, 3e-12, 1e-11, 1e-10,
                                        0.0), ValueError),
+        (lambda: ChannelScenario(1e-12, 1e-12, 1e-12, 1e-12, 1e-10, np.array([0.0, -1e-15])),
+         ValueError),
     ],
-    ids=["checked-ratio", "pick", "separation", "shadowing", "table-lookup", "positive"],
+    ids=["checked-ratio", "pick", "separation", "shadowing", "table-lookup", "positive",
+         "nonnegative"],
 )
 def test_failing_column_raises_documented_error(call, error):
     """A check that fails on a column passed straight to a model function

@@ -72,7 +72,6 @@ def sweep_results(draw) -> SweepResult:
     oracle = draw(st.booleans())
     extra = [draw(columns(rows)) for _ in range(2)] if oracle else [None, None]
     return SweepResult(
-        kind="",
         swept_name=draw(st.sampled_from(sorted(SWEPT_COLUMN.values()))),
         swept=numeric[0],
         capacitance=dict(zip(CAP_COLUMNS, numeric[1:7])),

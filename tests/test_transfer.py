@@ -1,6 +1,7 @@
 """Tests for the closed-form transfer functions and the comparison report."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hbc_channel import (
     DeviceGeometry,
     GeometricProvenance,
     body_potential_ratio,
+    build_channel_network,
     compare_closed_forms,
     coupling_capacitance,
     extract_return_path,
@@ -397,3 +399,20 @@ class TestScenarioValidation:
                 c_x_tx=0.5e-12, c_x_rx=0.5e-12, c_gb_rx=3e-12, c_l=10e-12,
                 c_b=150e-12, c_c=-1e-15,
             )
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: ChannelScenario(1e-12, 1e-12, 1e-12, 1e-12, 1e-10, -1e-15),
+             "c_c must be nonnegative, got -1e-15"),
+            (lambda: build_channel_network(1e-12, 1e-12, 1e-12, 1e-12, 1e-10, math.inf),
+             "c_c must be nonnegative, got inf"),
+            (lambda: geometric_transfer(TestGeometricTransfer.GEOM, TestGeometricTransfer.GEOM,
+                                        0.5, 0.5, math.nan, 1e-11, 1e-10),
+             "c_f must be nonnegative, got nan"),
+        ],
+        ids=["scenario", "network", "geometric"],
+    )
+    def test_nonnegativity_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
