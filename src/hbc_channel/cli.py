@@ -204,11 +204,11 @@ def _cmd_resonance(args) -> int:
     error = abs(recovered - circuit.capacitance_true) / circuit.capacitance_true
 
     if args.out:
+        rows = zip(sweep.frequencies.tolist(), sweep.magnitudes.tolist())
+        text = "frequency_hz,magnitude\n" + "".join("%.12g,%.12g\n" % row for row in rows)
         try:
             with open(args.out, "w", newline="") as handle:
-                handle.write("frequency_hz,magnitude\n")
-                for f, m in zip(sweep.frequencies, sweep.magnitudes):
-                    handle.write(f"{f:.12g},{m:.12g}\n")
+                handle.write(text)
         except OSError as exc:
             raise OSError(f"cannot write resonance CSV to {args.out!r}: {exc}") from exc
 

@@ -68,8 +68,20 @@ class ResonanceCircuit:
 
     @property
     def resonant_frequency(self) -> float:
-        """Ideal (lossless) resonant frequency 1/(2*pi*sqrt(LC)), Hz."""
-        return 1.0 / (2.0 * math.pi * math.sqrt(self.inductance * self.capacitance_true))
+        """Ideal (lossless) resonant frequency 1/(2*pi*sqrt(L)*sqrt(C)), Hz.
+
+        The roots are taken apart so that L*C cannot underflow or overflow.
+
+        Raises:
+            ValueError: If the frequency is not a finite positive float.
+        """
+        f_r = 1.0 / (2.0 * math.pi * math.sqrt(self.inductance) * math.sqrt(self.capacitance_true))
+        if not 0 < f_r < math.inf:
+            raise ValueError(
+                f"L = {self.inductance}, C = {self.capacitance_true} give no finite "
+                f"positive resonant frequency (got {f_r})"
+            )
+        return f_r
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,12 +116,20 @@ def default_frequency_grid(
     f_max: float = DEFAULT_GRID_MAX_HZ,
     points: int = DEFAULT_GRID_POINTS,
 ) -> np.ndarray:
-    """Logarithmically spaced analysis grid."""
+    """Logarithmically spaced analysis grid, as an array the caller owns."""
     if not (f_min > 0 and f_max > f_min):
         raise ValueError(f"need 0 < f_min < f_max, got {f_min}, {f_max}")
     if points < 3:
         raise ValueError(f"grid needs at least 3 points, got {points}")
+    if not math.isfinite(f_max):
+        raise ValueError(f"f_min and f_max must be finite, got {f_min}, {f_max}")
     return np.geomspace(f_min, f_max, points)
+
+
+# The default grid, built once and shared read-only by every extraction
+# that is given no grid of its own.
+_DEFAULT_GRID = default_frequency_grid()
+_DEFAULT_GRID.flags.writeable = False
 
 
 def lc_response(circuit: ResonanceCircuit, grid) -> FrequencySweep:
@@ -154,6 +174,12 @@ def find_resonant_frequency(sweep: FrequencySweep) -> float:
         ValueError: If the sweep has fewer than 3 points, or the points
             around the peak lie above :data:`MAX_FREQUENCY_HZ`.
     """
+    return _refined_peak(sweep)[0]
+
+
+def _refined_peak(sweep: FrequencySweep) -> tuple[float, tuple[float, float, float]]:
+    """The refined peak frequency and the grid points ``(x0, x1, x2)``
+    around the maximum, with the checks of :func:`find_resonant_frequency`."""
     if len(sweep.frequencies) < 3:
         raise ValueError("peak refinement needs at least 3 sweep points")
     mags = sweep.magnitudes
@@ -165,11 +191,10 @@ def find_resonant_frequency(sweep: FrequencySweep) -> float:
             f"sweep maximum at grid boundary ({sweep.frequencies[peak]:.6g} Hz); "
             "widen the frequency grid"
         )
-    if mags[peak - 1] <= 0 or mags[peak + 1] <= 0:
-        return float(sweep.frequencies[peak])
-
     # Python floats, so that x**2 below is libm pow for any sequence type.
     x0, x1, x2 = map(float, sweep.frequencies[peak - 1 : peak + 2])
+    if mags[peak - 1] <= 0 or mags[peak + 1] <= 0:
+        return x1, (x0, x1, x2)
     if x2 > MAX_FREQUENCY_HZ:
         raise ValueError(
             f"peak at {x1:.6g} Hz lies above the {MAX_FREQUENCY_HZ:.6g} Hz frequency limit"
@@ -179,9 +204,9 @@ def find_resonant_frequency(sweep: FrequencySweep) -> float:
     if denominator <= 0:
         # Collinear or non-concave triple (e.g. a plateau edge): the grid
         # maximum is the best available estimate.
-        return float(x1)
+        return x1, (x0, x1, x2)
     numerator = y0 * (x1**2 - x2**2) + y1 * (x2**2 - x0**2) + y2 * (x0**2 - x1**2)
-    return float(0.5 * numerator / denominator)
+    return float(0.5 * numerator / denominator), (x0, x1, x2)
 
 
 def capacitance_from_resonance(f_r: float, inductance: float) -> float:
@@ -213,12 +238,9 @@ def extract_body_capacitance(
             around the peak exceeds :data:`MAX_PEAK_BRACKET`.
     """
     if grid is None:
-        grid = default_frequency_grid()
+        grid = _DEFAULT_GRID
     sweep = lc_response(circuit, grid)
-    f_r = find_resonant_frequency(sweep)
-    # find_resonant_frequency has checked that the maximum is interior.
-    peak = int(np.argmax(sweep.magnitudes))
-    x0, x1, x2 = map(float, sweep.frequencies[peak - 1 : peak + 2])
+    f_r, (x0, x1, x2) = _refined_peak(sweep)
     bracket = 2.0 * (x2 - x0) / x1
     if bracket > MAX_PEAK_BRACKET:
         raise UnresolvedPeakError(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbc_channel import (
     BoundaryPeakError,
@@ -19,6 +21,7 @@ from hbc_channel import (
     find_resonant_frequency,
     lc_response,
 )
+from hbc_channel import resonance
 from hbc_channel.resonance import MAX_FREQUENCY_HZ, MAX_PEAK_BRACKET
 
 REFERENCE = ResonanceCircuit(
@@ -43,6 +46,18 @@ class TestResonanceCircuit:
     def test_rejects_nonpositive_elements(self, kwargs):
         with pytest.raises(ValueError, match="positive"):
             ResonanceCircuit(**kwargs)
+
+    @pytest.mark.parametrize("element", [1e-200, 1e200], ids=["L*C-underflows", "L*C-overflows"])
+    def test_resonant_frequency_where_lc_leaves_float_range(self, element):
+        """L*C underflows to 0 or overflows to inf; sqrt(L)*sqrt(C) does not."""
+        circuit = ResonanceCircuit(element, element)
+        expected = 1.0 / (2.0 * math.pi * element)
+        assert circuit.resonant_frequency == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("element", [5e-324, 1e308], ids=["overflows", "underflows"])
+    def test_resonant_frequency_beyond_float_range_rejected(self, element):
+        with pytest.raises(ValueError, match="no finite positive resonant frequency"):
+            ResonanceCircuit(element, element).resonant_frequency
 
     def test_small_inductor_moves_peak_out_of_band(self):
         """1 uH pushes resonance to ~12.96 MHz, far above the EQS band."""
@@ -331,3 +346,56 @@ class TestDefaultGrid:
     def test_rejects_bad_span(self):
         with pytest.raises(ValueError, match="f_min"):
             default_frequency_grid(f_min=1e6, f_max=1e4)
+
+    @pytest.mark.parametrize("points", [5, 2000])
+    def test_rejects_infinite_f_max(self, points):
+        """Rejected with no numpy warning and no inf points."""
+        with pytest.raises(ValueError, match="must be finite"):
+            default_frequency_grid(1e4, math.inf, points)
+
+    def test_returns_a_writable_array_of_its_own(self):
+        first, second = default_frequency_grid(), default_frequency_grid()
+        assert first is not second
+        assert first.flags.writeable and first.flags.owndata
+
+    def test_writes_to_a_returned_grid_change_no_later_result(self):
+        expected_capacitance, expected_f_r, expected_sweep = extract_body_capacitance(REFERENCE)
+        default_frequency_grid()[:] = 1.0
+        recovered, f_r, sweep = extract_body_capacitance(REFERENCE)
+        assert (recovered, f_r) == (expected_capacitance, expected_f_r)
+        assert np.array_equal(sweep.magnitudes, expected_sweep.magnitudes)
+        assert np.array_equal(default_frequency_grid(), np.geomspace(1e4, 1e6, 2000))
+
+    def test_shared_default_grid_is_read_only(self):
+        grid = resonance._DEFAULT_GRID
+        assert np.array_equal(grid, np.geomspace(1e4, 1e6, 2000))
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0] = 1.0
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    inductance=st.floats(1e-4, 1.0),
+    capacitance=st.floats(1e-12, 1e-8),
+    resistance=st.floats(1e-2, 1e3),
+)
+def test_default_grid_extraction_matches_explicit_grid_bitwise(
+    inductance, capacitance, resistance
+):
+    """The shared default grid and a freshly built one give the same
+    extraction, bit for bit, or the same error."""
+    circuit = ResonanceCircuit(inductance, capacitance, resistance)
+
+    def outcome(*grid):
+        try:
+            recovered, f_r, sweep = extract_body_capacitance(circuit, *grid)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return bits([recovered, f_r]).tolist(), bits(sweep.magnitudes).tolist()
+
+    assert outcome() == outcome(np.geomspace(1e4, 1e6, 2000))
