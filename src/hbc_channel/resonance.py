@@ -63,8 +63,11 @@ class ResonanceCircuit:
             capacitance_true=self.capacitance_true,
             series_resistance=self.series_resistance,
         )
-        if not math.isfinite(self.series_resistance * self.series_resistance):
-            raise ValueError(f"series_resistance {self.series_resistance} has no finite square")
+        # A square that underflows to 0 would let the magnitude divide by 0.
+        if not 0 < self.series_resistance * self.series_resistance < math.inf:
+            raise ValueError(
+                f"series_resistance {self.series_resistance} has no finite positive square"
+            )
 
     @property
     def resonant_frequency(self) -> float:
@@ -88,6 +91,8 @@ class ResonanceCircuit:
 class FrequencySweep:
     """Magnitude response |V_node/V_src| sampled on an ascending grid.
 
+    Every sweep is checked: the grid must be nonempty, strictly ascending
+    and start above 0, and the magnitudes finite and nonnegative.
     :func:`lc_response` gives read-only arrays of its own; any float
     sequences are accepted and held as given.
     """
@@ -103,12 +108,20 @@ class FrequencySweep:
                 f"grid/magnitude length mismatch: {len(self.frequencies)} vs "
                 f"{len(self.magnitudes)}"
             )
-        if not np.all(np.diff(self.frequencies) > 0):
-            raise ValueError("sweep grid must be strictly ascending")
-        if self.frequencies[0] <= 0:
-            raise ValueError("sweep frequencies must be positive")
-        if np.min(self.magnitudes) < 0:
-            raise ValueError("sweep magnitudes must be nonnegative")
+        _check_grid(np.asarray(self.frequencies))
+        mags = np.asarray(self.magnitudes)
+        # NaN fails both comparisons.
+        if not (0 <= mags.min() and mags.max() < math.inf):
+            raise ValueError("sweep magnitudes must be finite and nonnegative")
+
+
+def _check_grid(freqs: np.ndarray) -> None:
+    """Raise ValueError unless a nonempty grid ascends strictly from a
+    positive first point."""
+    if not (freqs[1:] > freqs[:-1]).all():
+        raise ValueError("sweep grid must be strictly ascending")
+    if not freqs[0] > 0:  # a lone NaN point fails here
+        raise ValueError("sweep frequencies must be positive")
 
 
 def default_frequency_grid(
@@ -143,18 +156,22 @@ def lc_response(circuit: ResonanceCircuit, grid) -> FrequencySweep:
     freqs = np.array(grid, dtype=float)  # a copy: the caller keeps its grid
     if freqs.size == 0:
         raise ValueError("frequency grid is empty")
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         w = 2.0 * math.pi * freqs
         x_c = 1.0 / (w * circuit.capacitance_true)
         x_l = w * circuit.inductance
         impedance_sq = circuit.series_resistance**2 + (x_l - x_c) ** 2
-    # Finite only when both reactances and the square of their difference are.
+        # An overflow here leaves an inf that FrequencySweep rejects.
+        magnitude = x_c / np.sqrt(impedance_sq)
+    # Not finite when a reactance or the square of their difference
+    # overflows, or at a zero or NaN grid point: an invalid grid gets the
+    # error FrequencySweep gives it.
     if not np.isfinite(impedance_sq).all():
+        _check_grid(freqs)
         raise ValueError(
             "a reactance or its square overflows on the frequency grid "
             f"[{freqs[0]:.6g}, {freqs[-1]:.6g}] Hz; narrow the grid"
         )
-    magnitude = x_c / np.sqrt(impedance_sq)
     freqs.flags.writeable = False
     magnitude.flags.writeable = False
     return FrequencySweep(freqs, magnitude)
@@ -183,10 +200,12 @@ def _refined_peak(sweep: FrequencySweep) -> tuple[float, tuple[float, float, flo
     if len(sweep.frequencies) < 3:
         raise ValueError("peak refinement needs at least 3 sweep points")
     mags = sweep.magnitudes
-    if np.max(mags) == np.min(mags):
-        raise FlatSweepError("sweep is flat; no resonant peak to locate")
-    peak = int(np.argmax(mags))
+    peak = int(np.asarray(mags).argmax())
     if peak == 0 or peak == len(mags) - 1:
+        # Only a flat sweep has max == min, and its argmax is 0.  A NaN
+        # compares unequal to everything, so a sweep holding one is never flat.
+        if mags[peak] == np.min(mags):
+            raise FlatSweepError("sweep is flat; no resonant peak to locate")
         raise BoundaryPeakError(
             f"sweep maximum at grid boundary ({sweep.frequencies[peak]:.6g} Hz); "
             "widen the frequency grid"

@@ -1,10 +1,12 @@
 """Tests for resonance-based body-capacitance extraction."""
 
+import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbc_channel import (
@@ -59,6 +61,19 @@ class TestResonanceCircuit:
         with pytest.raises(ValueError, match="no finite positive resonant frequency"):
             ResonanceCircuit(element, element).resonant_frequency
 
+    @pytest.mark.parametrize("resistance", [1e-170, 1e170], ids=["underflows", "overflows"])
+    def test_rejects_resistance_without_finite_positive_square(self, resistance):
+        with pytest.raises(ValueError, match="no finite positive square"):
+            ResonanceCircuit(1.0, 1.0, resistance)
+
+    def test_smallest_resistances_keep_the_peak_finite(self):
+        """R**2 is subnormal but positive: the magnitude at the exact
+        resonance is about x_c/R (R**2 keeps only a few digits), with no
+        division by zero."""
+        grid = [0.05, 0.1, 1 / (2 * math.pi), 0.3, 0.5]
+        sweep = lc_response(ResonanceCircuit(1.0, 1.0, 1e-160), grid)
+        assert sweep.magnitudes[2] == pytest.approx(1e160, rel=1e-4)
+
     def test_small_inductor_moves_peak_out_of_band(self):
         """1 uH pushes resonance to ~12.96 MHz, far above the EQS band."""
         circuit = ResonanceCircuit(1e-6, 150.838e-12, 10.0)
@@ -108,6 +123,37 @@ class TestLcResponse:
         with pytest.raises(ValueError, match="overflows on the frequency grid"):
             lc_response(circuit, grid)
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([1e4, math.nan, 1e6], "strictly ascending"),
+            ([0.0, 1e5, 1e6], "must be positive"),
+            ([-1e5, 0.0, 1e5], "must be positive"),
+            ([math.nan], "must be positive"),
+        ],
+        ids=["nan-point", "zero-point", "negative-points", "lone-nan-point"],
+    )
+    def test_invalid_grid_named_as_invalid(self, grid, message):
+        """A grid point that makes a reactance infinite or NaN gets the
+        error FrequencySweep gives that grid, not "narrow the grid"."""
+        with pytest.raises(ValueError, match=message):
+            lc_response(REFERENCE, grid)
+        with pytest.raises(ValueError, match=message):
+            FrequencySweep(grid, [1.0] * len(grid))
+
+    def test_both_reactances_infinite_rejected(self):
+        """x_l and x_c both overflow, so their difference is NaN: a
+        ValueError, with no numpy warning."""
+        with pytest.raises(ValueError, match="overflows on the frequency grid"):
+            lc_response(ResonanceCircuit(1e300, 5e-324), [1e10])
+
+    def test_overflowing_magnitude_rejected(self):
+        """x_c/R overflows at the exact resonance: a ValueError, with no
+        numpy warning."""
+        circuit = ResonanceCircuit(2.0**600, 2.0**-600, 1e-150)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            lc_response(circuit, [1 / (2 * math.pi)])
+
 
 class TestFrequencySweepValidation:
     """Each check runs on tuples and on numpy arrays."""
@@ -138,6 +184,19 @@ class TestFrequencySweepValidation:
         for as_input in self.INPUTS:
             with pytest.raises(ValueError, match="nonempty"):
                 FrequencySweep(as_input(()), as_input(()))
+
+    @pytest.mark.parametrize(
+        "index, value", [(10, math.nan), (25, math.inf), (0, -math.inf)],
+        ids=["nan-inside", "inf-at-peak", "minus-inf-at-edge"],
+    )
+    def test_rejects_non_finite_magnitude(self, index, value):
+        """A 50-point Gaussian sweep with one non-finite magnitude."""
+        freqs = np.linspace(1e4, 1e5, 50)
+        mags = np.exp(-(((freqs - freqs[25]) / 2e4) ** 2))
+        mags[index] = value
+        for as_input in self.INPUTS:
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                FrequencySweep(as_input(freqs.tolist()), as_input(mags.tolist()))
 
 
 class TestFindResonantFrequency:
@@ -399,3 +458,132 @@ def test_default_grid_extraction_matches_explicit_grid_bitwise(
         return bits([recovered, f_r]).tolist(), bits(sweep.magnitudes).tolist()
 
     assert outcome() == outcome(np.geomspace(1e4, 1e6, 2000))
+
+
+def reference_peak(frequencies, mags):
+    """The peak search as first written: three scans for flatness and the peak."""
+    if len(frequencies) < 3:
+        raise ValueError("too few points")
+    if np.max(mags) == np.min(mags):
+        raise FlatSweepError("flat")
+    peak = int(np.argmax(mags))
+    if peak == 0 or peak == len(mags) - 1:
+        raise BoundaryPeakError("boundary")
+    x0, x1, x2 = map(float, frequencies[peak - 1 : peak + 2])
+    if mags[peak - 1] <= 0 or mags[peak + 1] <= 0:
+        return x1
+    if x2 > MAX_FREQUENCY_HZ:
+        raise ValueError("frequency limit")
+    y0, y1, y2 = np.log(mags[peak - 1 : peak + 2])
+    denominator = y0 * (x1 - x2) + y1 * (x2 - x0) + y2 * (x0 - x1)
+    if denominator <= 0:
+        return x1
+    numerator = y0 * (x1**2 - x2**2) + y1 * (x2**2 - x0**2) + y2 * (x0**2 - x1**2)
+    return float(0.5 * numerator / denominator)
+
+
+def reference_sweep_peak(frequencies, magnitudes):
+    """The sweep checks as first written (``np.diff``, ``np.min``), plus the
+    one intended difference: non-finite magnitudes are rejected."""
+    if len(frequencies) == 0:
+        raise ValueError("empty")
+    if len(frequencies) != len(magnitudes):
+        raise ValueError("mismatch")
+    if not np.all(np.diff(frequencies) > 0):
+        raise ValueError("not ascending")
+    if frequencies[0] <= 0:
+        raise ValueError("not positive")
+    if np.min(magnitudes) < 0:
+        raise ValueError("negative")
+    if not np.all(np.isfinite(magnitudes)):
+        raise ValueError("not finite")
+    return reference_peak(frequencies, magnitudes)
+
+
+def peak_outcome(search, *args):
+    """The found frequency's bits, or the type of the error raised."""
+    try:
+        return bits([search(*args)]).tolist()
+    except ValueError as exc:
+        return type(exc)
+
+
+FINITE_MAGNITUDES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 10.0))
+MAGNITUDES = st.one_of(FINITE_MAGNITUDES, st.sampled_from([-1.0, math.nan, math.inf]))
+
+
+@st.composite
+def raw_sweeps(draw):
+    """Grids, mostly valid, and magnitudes with plateaus, ties and, in
+    some sweeps, negative or non-finite values, as tuples or as arrays."""
+    n = draw(st.integers(0, 12))
+    if draw(st.sampled_from([True, True, True, False])):
+        freqs = sorted(draw(st.lists(st.floats(1e-3, 1e6), min_size=n, max_size=n, unique=True)))
+    else:
+        point = st.one_of(st.floats(-2.0, 1e308), st.sampled_from([0.0, math.nan, math.inf]))
+        freqs = draw(st.lists(point, min_size=n, max_size=n))
+    size = n if draw(st.sampled_from([True] * 9 + [False])) else draw(st.integers(0, 12))
+    magnitude = draw(st.sampled_from([FINITE_MAGNITUDES, FINITE_MAGNITUDES, MAGNITUDES]))
+    mags = draw(st.lists(magnitude, min_size=size, max_size=size))
+    as_input = draw(st.sampled_from([tuple, np.array]))
+    return as_input(freqs), as_input(mags)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(raw=raw_sweeps())
+@example(raw=((1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 2.0, 1.0)))  # plateau at the peak
+@example(raw=((1.0, 2.0, 3.0, 4.0, 5.0), (1.0, 2.0, 1.0, 2.0, 1.0)))  # tied maxima
+@example(raw=((1.0, 2.0, 3.0), (2.0, 1.0, 2.0)))  # tied maxima at both edges
+@example(raw=((1.0, 2.0, 3.0), (0.5, 0.5, 0.5)))  # flat
+@example(raw=((1.0, 2.0, 3.0), (math.nan, 1.0, 0.5)))  # NaN at an edge
+@example(raw=((1.0, 2.0, 3.0, 4.0), (0.5, math.nan, 1.0, 0.5)))  # NaN inside
+@example(raw=((1.0, 2.0, 3.0), (math.nan,) * 3))  # NaN throughout
+@example(raw=((1.0, 2.0, 3.0), (0.5, math.inf, 0.5)))  # inf at the peak
+@example(raw=((1.0, 2.0, 2.0, 3.0), (0.5, 1.0, 0.8, 0.5)))  # a repeated frequency
+def test_sweep_checks_and_peak_search_match_reference(raw):
+    """FrequencySweep plus find_resonant_frequency give the reference's
+    frequency bit for bit or raise the reference's error type; so does the
+    peak search alone on the unchecked values, NaN and inf included."""
+    freqs, mags = raw
+    with np.errstate(all="ignore"):
+        expected = peak_outcome(reference_sweep_peak, freqs, mags)
+    actual = peak_outcome(lambda f, m: find_resonant_frequency(FrequencySweep(f, m)), freqs, mags)
+    assert actual == expected
+
+    if len(freqs) != len(mags) or not all(b > a for a, b in zip(freqs, freqs[1:])):
+        return
+    raw_sweep = SimpleNamespace(frequencies=freqs, magnitudes=mags)
+    with np.errstate(all="ignore"):
+        expected = peak_outcome(reference_peak, freqs, mags)
+        actual = peak_outcome(find_resonant_frequency, raw_sweep)
+    assert actual == expected
+
+
+def test_seeded_extractions_keep_their_bits():
+    """200 seeded circuits, 149 on the default grid and 51 with the peak
+    off it: the recovered C, f_r and every magnitude are those the
+    three-scan peak search and the np.diff sweep checks gave, bit for bit
+    (the digest was recorded with that code)."""
+    rng = np.random.default_rng(1212)
+    digest = hashlib.sha256()
+    recovered_bits = []
+    for _ in range(200):
+        inductance, capacitance, resistance = 10.0 ** rng.uniform([-4, -12, -1], [-1, -8, 3])
+        circuit = ResonanceCircuit(float(inductance), float(capacitance), float(resistance))
+        try:
+            recovered, f_r, sweep = extract_body_capacitance(circuit)
+        except ValueError as exc:
+            digest.update(type(exc).__name__.encode())
+            continue
+        digest.update(np.array([recovered, f_r]).tobytes())
+        digest.update(sweep.magnitudes.tobytes())
+        recovered_bits.append((recovered.hex(), f_r.hex()))
+    assert len(recovered_bits) == 149
+    assert recovered_bits[:3] == [
+        ("0x1.2096e915a3387p-30", "0x1.65f1391f59510p+17"),
+        ("0x1.5054e7cbe3fcfp-29", "0x1.c969c472bfb3ep+16"),
+        ("0x1.0bb01b4c649abp-35", "0x1.635fa0d66d513p+18"),
+    ]
+    assert digest.hexdigest() == (
+        "492006f77eaf6b3a1729e4ddc9ba5fb363ff0dc6bd91c2b37c149da772921215"
+    )
