@@ -161,18 +161,11 @@ def _cmd_sweep(args) -> int:
     parsed = load_config_file(args.config)
     if parsed.sweep is None:
         raise ConfigError(f"{parsed.path}: no [sweep] section")
-    spec = SweepSpec(
-        kind=parsed.sweep.kind,
-        start=parsed.sweep.start,
-        stop=parsed.sweep.stop,
-        steps=parsed.sweep.steps,
-        base=parsed.scenario,
-        include_oracle=args.oracle,
-    )
+    spec = SweepSpec(**parsed.sweep, base=parsed.scenario, include_oracle=args.oracle)
     result = run_sweep(spec)
     emit_csv(result, args.out)
     print(f"{len(result.swept)} rows ({result.swept_name} "
-          f"{parsed.sweep.start:.6g}..{parsed.sweep.stop:.6g}) -> {args.out}")
+          f"{spec.start:.6g}..{spec.stop:.6g}) -> {args.out}")
     return EXIT_OK
 
 
@@ -189,17 +182,26 @@ def _resonance_capacitance(parsed: ParsedConfig) -> float:
     return body_capacitance(scenario)
 
 
+# The first word of a ResonanceCircuit or default_frequency_grid error, and
+# the [resonance] key(s) the error is about.
+_RESONANCE_KEYS = {
+    "inductance": "inductance_h", "capacitance_true": "capacitance_f",
+    "series_resistance": "series_resistance_ohm", "need": "f_min_hz, f_max_hz", "grid": "points",
+}
+
+
 def _cmd_resonance(args) -> int:
     parsed = load_config_file(args.config)
     if parsed.resonance is None:
         raise ConfigError(f"{parsed.path}: no [resonance] section")
     section = parsed.resonance
-    circuit = ResonanceCircuit(
-        inductance=section.inductance_h,
-        capacitance_true=_resonance_capacitance(parsed),
-        series_resistance=section.series_resistance_ohm,
-    )
-    grid = default_frequency_grid(section.f_min_hz, section.f_max_hz, section.points)
+    c_b = _resonance_capacitance(parsed)
+    try:
+        circuit = ResonanceCircuit(section.inductance_h, c_b, section.series_resistance_ohm)
+        grid = default_frequency_grid(section.f_min_hz, section.f_max_hz, section.points)
+    except ValueError as exc:
+        key = _RESONANCE_KEYS[str(exc).split()[0]]
+        raise ConfigError(f"[resonance] {key}: {exc}") from exc
     recovered, f_r, sweep = extract_body_capacitance(circuit, grid)
     error = abs(recovered - circuit.capacitance_true) / circuit.capacitance_true
 

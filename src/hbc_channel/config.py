@@ -112,15 +112,11 @@ class ScenarioConfig:
     def profile(self) -> ShadowingProfile | None:
         if self.shadowing_anchors is None:
             return None
-        return ShadowingProfile(self.segment or "custom", self.shadowing_anchors)
-
-
-@dataclass(frozen=True)
-class SweepSection:
-    kind: str
-    start: float
-    stop: float
-    steps: int
+        try:
+            return ShadowingProfile(self.segment or "custom", self.shadowing_anchors)
+        except ValueError as exc:
+            key = "segment" if str(exc).startswith("unknown segment") else "shadowing_anchors"
+            raise ConfigError(f"[body] {key}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -137,7 +133,7 @@ class ResonanceSection:
 class ParsedConfig:
     path: Path
     scenario: ScenarioConfig
-    sweep: SweepSection | None = None
+    sweep: dict[str, object] | None = None  # SweepSpec fields, unchecked
     resonance: ResonanceSection | None = None
 
 
@@ -165,7 +161,7 @@ _ALLOWED_KEYS = {
 # Keys whose values are not floats; every other key parses as a float.
 _TEXT_KEYS = {"dielectric_table", "segment", "kind"}
 _INT_KEYS = {"steps", "points"}
-# [sweep] keys whose SweepSection field has another name.
+# [sweep] keys whose SweepSpec field has another name.
 _FIELD_OF_KEY = {"min": "start", "max": "stop"}
 _REQUIRED_KEYS = {"sweep": ("kind", "min", "max", "steps"), "resonance": ("inductance_h",)}
 
@@ -278,9 +274,8 @@ def load_config_file(path: str | Path) -> ParsedConfig:
             stacklevel=2,
         )
 
-    sweep = SweepSection(**fields["sweep"]) if "sweep" in fields else None
     resonance = ResonanceSection(**fields["resonance"]) if "resonance" in fields else None
-    return ParsedConfig(path=path, scenario=scenario, sweep=sweep, resonance=resonance)
+    return ParsedConfig(path, scenario, sweep=fields.get("sweep"), resonance=resonance)
 
 
 def resolve_table_path(name: str, base_dir: Path | None) -> Path:
@@ -320,18 +315,24 @@ def load_dielectric_table(scenario: ScenarioConfig) -> DielectricTable:
 
 
 def _pick(
-    name: str, direct: float | None, derived: float | None, missing: str | None
+    name: str, direct: float | None, derived: float | None, missing: str | None,
+    *, zero_ok: bool = False,
 ) -> float | None:
     """The direct-or-derived rule that every channel quantity follows.
 
-    A derived value is the one kept; a direct value given beside it must agree
+    A direct value must be positive, or nonnegative with ``zero_ok``.  A
+    derived value is the one kept; a direct value given beside it must agree
     with it to ``CONSISTENCY_REL_TOL`` relative.  A direct value alone is kept
     as given.  With neither, the ``missing`` message is raised, or ``None`` is
     returned when ``missing`` is ``None`` (an optional quantity).
 
     Raises:
-        ConfigError: On disagreement, or on a missing required quantity.
+        ConfigError: On a direct value out of range, on disagreement, or on a
+            missing required quantity.
     """
+    if direct is not None and fails(direct < 0 if zero_ok else direct <= 0):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ConfigError(f"{name} must be {sign}, got {shown(direct, '')}")
     if derived is not None:
         if direct is not None and fails(relative_error(direct, derived) > CONSISTENCY_REL_TOL):
             raise ConfigError(
@@ -390,8 +391,6 @@ def _resolve_separation(config: ScenarioConfig) -> float | None:
                 f"tx and rx positions coincide (position_s = {shown(tx_s, 'g')}); "
                 "device separation would be zero"
             )
-    if config.separation_m is not None and fails(config.separation_m <= 0):
-        raise ConfigError(f"[link] separation_m must be positive, got {config.separation_m}")
     return _pick("[link] separation_m", config.separation_m, derived, None)
 
 
@@ -500,12 +499,11 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
             raise ConfigError(
                 f"[tx] radius_m, [link] k_f_per_m and the device separation: {exc}"
             ) from exc
-    if config.coupling_f is not None and config.coupling_f < 0:
-        raise ConfigError(f"[link] coupling_f must be nonnegative, got {config.coupling_f}")
     c_c = _pick(
         "[link] coupling_f", config.coupling_f, derived_cc,
         "missing required parameter: [link] coupling_f, or k_f_per_m plus a "
         "separation (separation_m or device positions) to derive it",
+        zero_ok=True,
     )
 
     # d and k describe c_c only where the near-field law produced it; beyond

@@ -165,8 +165,9 @@ def lc_response(circuit: ResonanceCircuit, grid) -> FrequencySweep:
         magnitude = x_c / np.sqrt(impedance_sq)
     # Not finite when a reactance or the square of their difference
     # overflows, or at a zero or NaN grid point: an invalid grid gets the
-    # error FrequencySweep gives it.
-    if not np.isfinite(impedance_sq).all():
+    # error FrequencySweep gives it.  No point is negative, so the max alone
+    # tests them all; a NaN fails the comparison.
+    if not impedance_sq.max() < math.inf:
         _check_grid(freqs)
         raise ValueError(
             "a reactance or its square overflows on the frequency grid "
@@ -177,8 +178,9 @@ def lc_response(circuit: ResonanceCircuit, grid) -> FrequencySweep:
     return FrequencySweep(freqs, magnitude)
 
 
-def find_resonant_frequency(sweep: FrequencySweep) -> float:
-    """Locate the sweep's peak frequency.
+def find_resonant_frequency(sweep: FrequencySweep) -> tuple[float, tuple[float, float, float]]:
+    """Locate the sweep's peak: ``(f_r, (x0, x1, x2))``, the refined peak
+    frequency and the grid points around the grid maximum.
 
     Takes the grid maximum and refines it with a 3-point parabolic fit on
     log-magnitude, which is robust on logarithmically spaced grids.  A
@@ -191,12 +193,6 @@ def find_resonant_frequency(sweep: FrequencySweep) -> float:
         ValueError: If the sweep has fewer than 3 points, or the points
             around the peak lie above :data:`MAX_FREQUENCY_HZ`.
     """
-    return _refined_peak(sweep)[0]
-
-
-def _refined_peak(sweep: FrequencySweep) -> tuple[float, tuple[float, float, float]]:
-    """The refined peak frequency and the grid points ``(x0, x1, x2)``
-    around the maximum, with the checks of :func:`find_resonant_frequency`."""
     if len(sweep.frequencies) < 3:
         raise ValueError("peak refinement needs at least 3 sweep points")
     mags = sweep.magnitudes
@@ -259,7 +255,7 @@ def extract_body_capacitance(
     if grid is None:
         grid = _DEFAULT_GRID
     sweep = lc_response(circuit, grid)
-    f_r, (x0, x1, x2) = _refined_peak(sweep)
+    f_r, (x0, x1, x2) = find_resonant_frequency(sweep)
     bracket = 2.0 * (x2 - x0) / x1
     if bracket > MAX_PEAK_BRACKET:
         raise UnresolvedPeakError(

@@ -239,6 +239,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     raise RuntimeError(f"sweep row {lo} failed as a column only") from column_error
 
 
+def _csv_header(swept_name: str, include_oracle: bool) -> list[str]:
+    """The header :func:`emit_csv` writes and :func:`read_sweep_csv` expects."""
+    oracle = _ORACLE_COLUMNS if include_oracle else ()
+    return [swept_name, *_CAP_COLUMNS, "ratio", "loss_db", "flags", *oracle]
+
+
 def emit_csv(result: SweepResult, destination: str | Path) -> None:
     """Write the sweep as CSV: a header row then one row per step.
 
@@ -249,9 +255,7 @@ def emit_csv(result: SweepResult, destination: str | Path) -> None:
     Raises:
         OSError: With the destination path in the message.
     """
-    header = [result.swept_name, *_CAP_COLUMNS, "ratio", "loss_db", "flags"]
-    if result.include_oracle:
-        header += list(_ORACLE_COLUMNS)
+    header = _csv_header(result.swept_name, result.include_oracle)
     joined = {flags: "|".join(flags) for flags in set(result.flags)}
     cells, columns = [], []
     for column in result.numeric_columns():
@@ -290,10 +294,7 @@ def read_sweep_csv(path: str | Path) -> SweepResult:
     if header[0] not in SWEPT_COLUMN.values():
         raise ValueError(f"{path}: unknown swept column {header[0]!r}")
     include_oracle = header[-2:] == list(_ORACLE_COLUMNS)
-    expected = [header[0], *_CAP_COLUMNS, "ratio", "loss_db", "flags"]
-    if include_oracle:
-        expected += list(_ORACLE_COLUMNS)
-    if header != expected:
+    if header != _csv_header(header[0], include_oracle):
         raise ValueError(f"{path}: unexpected header {header}")
 
     body = records[1:]

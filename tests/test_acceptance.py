@@ -169,10 +169,7 @@ def test_criterion_5_trend_reproduction():
     """Sweep shapes: separation knee, area/radius linearity, arm loss peak."""
     def timed_sweep(config_name):
         parsed = load_config_file(CONFIG_DIR / config_name)
-        spec = SweepSpec(
-            kind=parsed.sweep.kind, start=parsed.sweep.start, stop=parsed.sweep.stop,
-            steps=parsed.sweep.steps, base=parsed.scenario,
-        )
+        spec = SweepSpec(**parsed.sweep, base=parsed.scenario)
         started = time.perf_counter()
         result = run_sweep(spec)
         return result, time.perf_counter() - started

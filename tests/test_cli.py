@@ -21,31 +21,29 @@ def run_cli(*args, **kwargs):
     )
 
 
-def geometric_config(tmp_path, link="separation_m = 0.10", extra=""):
-    """The sample geometric config with its separation line replaced by
-    ``link`` and ``extra`` appended."""
-    text = (CONFIG_DIR / "sample_geometric.cfg").read_text()
-    text = text.replace("separation_m = 0.10", link).replace(
-        "dielectric_table = dielectric_cb.csv",
-        f"dielectric_table = {CONFIG_DIR / 'dielectric_cb.csv'}",
-    )
-    path = tmp_path / "geometric.cfg"
-    path.write_text(text + extra)
-    return path
-
-
-def tiny_return_path_config(tmp_path, name, return_path_f):
-    """A direct-capacitance sample config with both return paths set to
-    ``return_path_f``, its dielectric table given by absolute path."""
-    text = (CONFIG_DIR / name).read_text().replace(
-        "return_path_f = 0.5e-12", f"return_path_f = {return_path_f}"
-    ).replace(
+def edited_config(tmp_path, name, old, new):
+    """Sample config ``name`` with ``old`` replaced by ``new`` and its
+    dielectric table given by absolute path."""
+    text = (CONFIG_DIR / name).read_text().replace(old, new).replace(
         "dielectric_table = dielectric_cb.csv",
         f"dielectric_table = {CONFIG_DIR / 'dielectric_cb.csv'}",
     )
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def geometric_config(tmp_path, link="separation_m = 0.10"):
+    """The sample geometric config with its separation line replaced by ``link``."""
+    return edited_config(tmp_path, "sample_geometric.cfg", "separation_m = 0.10", link)
+
+
+def tiny_return_path_config(tmp_path, name, return_path_f):
+    """A direct-capacitance sample config with both return paths set to
+    ``return_path_f``."""
+    return edited_config(
+        tmp_path, name, "return_path_f = 0.5e-12", f"return_path_f = {return_path_f}"
+    )
 
 
 def overflowing_coupling_config(tmp_path, name, **replacements):
@@ -100,19 +98,38 @@ class TestEval:
         assert "geometric_distant" in payload["ratios"]
 
     @pytest.mark.parametrize(
-        "link, extra, key",
+        "name, old, new, key",
         [
-            ("separation_m = 0.10\ndecouple_m = nan", "", "[link] decouple_m"),
-            ("separation_m = 0.10\ndecouple_m = -1", "", "[link] decouple_m"),
-            ("separation_m = inf", "", "[link] separation_m"),
-            ("separation_m = 0.10", "\n[channel]\nfrequency_hz = nan\n", "[channel] frequency_hz"),
+            ("sample_geometric.cfg", "separation_m = 0.10",
+             "separation_m = 0.10\ndecouple_m = nan", "[link] decouple_m"),
+            ("sample_geometric.cfg", "separation_m = 0.10",
+             "separation_m = 0.10\ndecouple_m = -1", "[link] decouple_m"),
+            ("sample_geometric.cfg", "separation_m = 0.10", "separation_m = inf",
+             "[link] separation_m"),
+            ("sample_geometric.cfg", "separation_m = 0.10",
+             "separation_m = 0.10\n[channel]\nfrequency_hz = nan", "[channel] frequency_hz"),
+            ("sample_geometric.cfg", "[body]",
+             "[body]\nshadowing_anchors = 0.0:0.5, 1.0:1.5", "[body] shadowing_anchors"),
+            ("sample_geometric.cfg", "[body]",
+             "[body]\nsegment = leg\nshadowing_anchors = 0.0:0.5, 1.0:0.6", "[body] segment"),
+            ("default_direct.cfg", "load_f = 10e-12", "load_f = 0", "[rx] load_f"),
+            ("default_direct.cfg", "c_b_f = 150.838e-12", "c_b_f = -150e-12", "[body] c_b_f"),
+            ("default_direct.cfg", "ground_body_f = 3e-12", "ground_body_f = 0",
+             "[rx] ground_body_f"),
+            ("default_direct.cfg", "[tx]\nreturn_path_f = 0.5e-12",
+             "[tx]\nreturn_path_f = -0.5e-12", "[tx] return_path_f"),
         ],
-        ids=["decouple-nan", "decouple-negative", "separation-inf", "frequency-nan"],
+        ids=[
+            "decouple-nan", "decouple-negative", "separation-inf", "frequency-nan",
+            "anchor-fraction-above-1", "unknown-segment", "zero-load", "negative-body",
+            "zero-ground-body", "negative-return-path",
+        ],
     )
-    def test_bad_value_exits_1_naming_key(self, tmp_path, link, extra, key):
-        proc = run_cli("eval", str(geometric_config(tmp_path, link, extra)))
+    def test_bad_value_exits_1_naming_key(self, tmp_path, name, old, new, key):
+        proc = run_cli("eval", str(edited_config(tmp_path, name, old, new)))
         assert proc.returncode == 1
         assert key in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_overflowing_radius_exits_1_naming_key(self, tmp_path):
         """pi*a^2 overflows a float for a 1e200 m radius."""
@@ -397,19 +414,37 @@ class TestResonance:
         assert "[body] c_b_f" in proc.stderr
 
     @pytest.mark.parametrize(
-        "section",
+        "c_b_f, section, named",
         [
-            "inductance_h = 1e-3\nseries_resistance_ohm = 1e300\n",
-            "inductance_h = 1e-12\ncapacitance_f = 1e4\nf_min_hz = 1e-300\nf_max_hz = 1e-3\n",
+            ("150.838e-12", "inductance_h = 1e-3\nseries_resistance_ohm = 1e300\n",
+             "[resonance] series_resistance_ohm"),
+            (
+                "150.838e-12",
+                "inductance_h = 1e-12\ncapacitance_f = 1e4\nf_min_hz = 1e-300\nf_max_hz = 1e-3\n",
+                "frequency grid",
+            ),
+            ("150.838e-12", "inductance_h = -1\n", "[resonance] inductance_h"),
+            ("150.838e-12", "inductance_h = 1e-3\npoints = 2\n", "[resonance] points"),
+            ("150.838e-12", "inductance_h = 1e-3\nseries_resistance_ohm = 0\n",
+             "[resonance] series_resistance_ohm"),
+            ("150.838e-12", "inductance_h = 1e-3\nf_min_hz = -5\n", "[resonance] f_min_hz"),
+            ("150.838e-12", "inductance_h = 1e-3\ncapacitance_f = 0\n",
+             "[resonance] capacitance_f"),
+            ("-150e-12", "inductance_h = 1e-3\n", "[body] c_b_f"),
         ],
-        ids=["resistance-square-overflows", "capacitance-divides-by-zero"],
+        ids=[
+            "resistance-square-overflows", "capacitance-divides-by-zero",
+            "negative-inductance", "two-points", "zero-resistance", "negative-f-min",
+            "zero-capacitance", "negative-body-capacitance",
+        ],
     )
-    def test_unusable_circuit_exits_1(self, tmp_path, section):
+    def test_unusable_circuit_exits_1(self, tmp_path, c_b_f, section, named):
         config = tmp_path / "circuit.cfg"
-        config.write_text("[body]\nc_b_f = 150.838e-12\n[resonance]\n" + section)
+        config.write_text(f"[body]\nc_b_f = {c_b_f}\n[resonance]\n" + section)
         proc = run_cli("resonance", str(config))
         assert proc.returncode == 1
         assert "config error" in proc.stderr
+        assert named in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(

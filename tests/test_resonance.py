@@ -202,15 +202,15 @@ class TestFrequencySweepValidation:
 class TestFindResonantFrequency:
     def test_reference_peak_within_point_one_percent(self):
         sweep = lc_response(REFERENCE, default_frequency_grid())
-        f_r = find_resonant_frequency(sweep)
+        f_r = find_resonant_frequency(sweep)[0]
         assert abs(f_r - REFERENCE_F_R) / REFERENCE_F_R < 1e-3
 
     def test_symmetric_triangular_peak_exact_at_center(self):
         freqs = tuple(np.linspace(100.0, 200.0, 11))
         mags = tuple(np.concatenate([np.linspace(1, 2, 6), np.linspace(2, 1, 6)[1:]]))
-        assert find_resonant_frequency(FrequencySweep(freqs, mags)) == pytest.approx(
-            150.0, rel=1e-12
-        )
+        f_r, bracket = find_resonant_frequency(FrequencySweep(freqs, mags))
+        assert f_r == pytest.approx(150.0, rel=1e-12)
+        assert bracket == (140.0, 150.0, 160.0)
 
     def test_monotone_sweep_raises_boundary_error(self):
         freqs = tuple(np.linspace(1e4, 1e5, 50))
@@ -257,7 +257,7 @@ class TestFindResonantFrequency:
         recovered = []
         for c in np.linspace(50e-12, 500e-12, 12):
             circuit = ResonanceCircuit(1e-3, float(c), 10.0)
-            recovered.append(find_resonant_frequency(lc_response(circuit, grid)))
+            recovered.append(find_resonant_frequency(lc_response(circuit, grid))[0])
         assert all(b < a for a, b in zip(recovered, recovered[1:]))
 
 
@@ -547,7 +547,9 @@ def test_sweep_checks_and_peak_search_match_reference(raw):
     freqs, mags = raw
     with np.errstate(all="ignore"):
         expected = peak_outcome(reference_sweep_peak, freqs, mags)
-    actual = peak_outcome(lambda f, m: find_resonant_frequency(FrequencySweep(f, m)), freqs, mags)
+    actual = peak_outcome(
+        lambda f, m: find_resonant_frequency(FrequencySweep(f, m))[0], freqs, mags
+    )
     assert actual == expected
 
     if len(freqs) != len(mags) or not all(b > a for a, b in zip(freqs, freqs[1:])):
@@ -555,7 +557,7 @@ def test_sweep_checks_and_peak_search_match_reference(raw):
     raw_sweep = SimpleNamespace(frequencies=freqs, magnitudes=mags)
     with np.errstate(all="ignore"):
         expected = peak_outcome(reference_peak, freqs, mags)
-        actual = peak_outcome(find_resonant_frequency, raw_sweep)
+        actual = peak_outcome(lambda s: find_resonant_frequency(s)[0], raw_sweep)
     assert actual == expected
 
 

@@ -19,14 +19,7 @@ from hbc_channel.config import ScenarioConfig, SideConfig
 def spec_from_config(path, include_oracle=False) -> SweepSpec:
     parsed = load_config_file(path)
     assert parsed.sweep is not None
-    return SweepSpec(
-        kind=parsed.sweep.kind,
-        start=parsed.sweep.start,
-        stop=parsed.sweep.stop,
-        steps=parsed.sweep.steps,
-        base=parsed.scenario,
-        include_oracle=include_oracle,
-    )
+    return SweepSpec(**parsed.sweep, base=parsed.scenario, include_oracle=include_oracle)
 
 
 @pytest.fixture(scope="module")

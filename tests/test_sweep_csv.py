@@ -105,9 +105,7 @@ def test_read_then_emit_gives_back_the_bytes(tmp_path_factory, result):
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*_sweep.cfg")))
 def test_sample_sweeps_match_reference_formatter(tmp_path, config, oracle):
     parsed = load_config_file(CONFIG_DIR / config)
-    sweep = parsed.sweep
-    result = run_sweep(SweepSpec(sweep.kind, sweep.start, sweep.stop, sweep.steps,
-                                 parsed.scenario, include_oracle=oracle))
+    result = run_sweep(SweepSpec(**parsed.sweep, base=parsed.scenario, include_oracle=oracle))
     out = tmp_path / "sweep.csv"
     emit_csv(result, out)
     assert out.read_bytes() == reference_csv(result)
