@@ -119,7 +119,7 @@ def _cmd_eval(args) -> int:
 
     capacitances = {f"{name}_f": getattr(scenario, name) for name in CAPACITANCE_NAMES}
     if args.dump_network and not args.json:
-        net = build_channel_network(*capacitances.values())
+        net = build_channel_network(scenario)
         print("network:")
         for line in net.dump().splitlines():
             print(f"  {line}")

@@ -39,7 +39,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .columns import fails, shown
+from .columns import fails, holds, shown
 from .constants import DECOUPLING_DISTANCE_M, DEFAULT_FREQUENCY_HZ, EQS_MAX_FREQUENCY_HZ
 from .geometry import (
     CouplingConstant,
@@ -261,9 +261,7 @@ def load_config_file(path: str | Path) -> ParsedConfig:
         **fields.get("body", {}), **fields.get("link", {}), **fields.get("channel", {}),
         base_dir=path.parent,
     )
-    frequency = scenario.frequency_hz
-    if frequency <= 0:
-        raise ConfigError(f"[channel] frequency_hz must be positive, got {frequency}")
+    frequency = _pick("[channel] frequency_hz", scenario.frequency_hz, None, None)
     if frequency > EQS_MAX_FREQUENCY_HZ:
         warnings.warn(
             f"configured frequency {frequency:.6g} Hz exceeds the "
@@ -320,7 +318,8 @@ def _pick(
 ) -> float | None:
     """The direct-or-derived rule that every channel quantity follows.
 
-    A direct value must be positive, or nonnegative with ``zero_ok``.  A
+    A direct value must be positive, or nonnegative with ``zero_ok`` (NaN is
+    neither); this is the one such check of every scenario config value.  A
     derived value is the one kept; a direct value given beside it must agree
     with it to ``CONSISTENCY_REL_TOL`` relative.  A direct value alone is kept
     as given.  With neither, the ``missing`` message is raised, or ``None`` is
@@ -330,7 +329,7 @@ def _pick(
         ConfigError: On a direct value out of range, on disagreement, or on a
             missing required quantity.
     """
-    if direct is not None and fails(direct < 0 if zero_ok else direct <= 0):
+    if direct is not None and not holds(direct >= 0 if zero_ok else direct > 0):
         sign = "nonnegative" if zero_ok else "positive"
         raise ConfigError(f"{name} must be {sign}, got {shown(direct, '')}")
     if derived is not None:
@@ -376,9 +375,8 @@ def _shadowing(side: SideConfig, name: str, profile: ShadowingProfile | None) ->
 def _resolve_separation(config: ScenarioConfig) -> float | None:
     """Device separation: explicit, from body positions, or both (checked)."""
     derived = None
-    tx_s, rx_s, length = config.tx.position_s, config.rx.position_s, config.segment_length_m
-    if length is not None and not length > 0:
-        raise ConfigError(f"[body] segment_length_m must be positive, got {length}")
+    tx_s, rx_s = config.tx.position_s, config.rx.position_s
+    length = _pick("[body] segment_length_m", config.segment_length_m, None, None)
     if tx_s is not None and rx_s is not None:
         if length is None:
             raise ConfigError(
@@ -442,8 +440,7 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
     Raises:
         ConfigError: Naming the missing or inconsistent field.
     """
-    if not config.decouple_m > 0:
-        raise ConfigError(f"[link] decouple_m must be positive, got {config.decouple_m}")
+    decouple_m = _pick("[link] decouple_m", config.decouple_m, None, None)
     profile = config.profile()
     tx_geom = _device_geometry(config.tx, "tx")
     rx_geom = _device_geometry(config.rx, "rx")
@@ -464,9 +461,7 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
     c_x_rx = resolve_return_path(config.rx, rx_geom, x_rx, "rx")
 
     # Ground-to-body capacitance of the receiver.
-    c_f = config.rx.fringe_f
-    if c_f is not None and c_f < 0:
-        raise ConfigError(f"[rx] fringe_f must be nonnegative, got {c_f}")
+    c_f = _pick("[rx] fringe_f", config.rx.fringe_f, None, None, zero_ok=True)
     derived_gb = None
     if rx_geom is not None and c_f is not None:
         try:
@@ -485,7 +480,8 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
 
     # Inter-device coupling: direct, or the shielded near-field law.
     separation = _resolve_separation(config)
-    k = CouplingConstant(config.k_f_per_m) if config.k_f_per_m is not None else None
+    k_f_per_m = _pick("[link] k_f_per_m", config.k_f_per_m, None, None)
+    k = CouplingConstant(k_f_per_m) if k_f_per_m is not None else None
     derived_cc = None
     if k is not None and separation is not None:
         if tx_geom is None:
@@ -494,7 +490,7 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
                 "coupling capacitance plate area)"
             )
         try:
-            derived_cc = effective_coupling_capacitance(tx_geom, separation, k, config.decouple_m)
+            derived_cc = effective_coupling_capacitance(tx_geom, separation, k, decouple_m)
         except ValueError as exc:
             raise ConfigError(
                 f"[tx] radius_m, [link] k_f_per_m and the device separation: {exc}"

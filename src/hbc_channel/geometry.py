@@ -64,8 +64,7 @@ class CouplingConstant:
     k: float
 
     def __post_init__(self) -> None:
-        if not (self.k > 0 and math.isfinite(self.k)):
-            raise ValueError(f"coupling constant k must be positive, got {self.k}")
+        require_positive(k=self.k)
 
 
 def _validated_capacitance(value: float, context: str) -> float:
@@ -153,11 +152,7 @@ def calibrate_coupling_constant(
         area_ref: Plate area of the devices used, m^2.
 
     Raises:
-        ValueError: On any nonpositive input.
+        ValueError: Naming the first input that is not positive and finite.
     """
-    if not (c_c_ref > 0 and d_ref > 0 and area_ref > 0):
-        raise ValueError(
-            "calibration inputs must be positive, got "
-            f"c_c_ref={c_c_ref}, d_ref={d_ref}, area_ref={area_ref}"
-        )
+    require_positive(c_c_ref=c_c_ref, d_ref=d_ref, area_ref=area_ref)
     return CouplingConstant(c_c_ref * d_ref / area_ref)

@@ -17,10 +17,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .columns import holds, require_nonnegative, require_positive
+from .columns import holds
+
+if TYPE_CHECKING:
+    from .transfer import ChannelScenario
 
 
 class SingularNetworkError(RuntimeError):
@@ -103,15 +107,8 @@ NODE_TX_GROUND = 2
 NODE_RX_GROUND = 3
 
 
-def build_channel_network(
-    c_x_tx: float,
-    c_x_rx: float,
-    c_gb_rx: float,
-    c_l: float,
-    c_b: float,
-    c_c: float,
-) -> CapNetwork:
-    """Assemble the 4-node body-channel circuit.
+def build_channel_network(s: ChannelScenario) -> CapNetwork:
+    """Assemble the 4-node body-channel circuit of a checked scenario.
 
     Nodes: earth E (reference), body B, Tx ground TG, Rx ground RG.
     Branches: C_B (B-E), C_x-Tx (TG-E), C_x-Rx (RG-E), C_L (B-RG),
@@ -121,29 +118,19 @@ def build_channel_network(
     The body to Tx-ground capacitance is deliberately absent: it would sit
     directly across the ideal source and cannot affect the transfer.
 
-    Columns give a batch, which always carries the C_c branch: its zero rows
-    add exact zeros to their matrices.
-
-    Args:
-        c_x_tx: Tx return-path capacitance, F (> 0).
-        c_x_rx: Rx return-path capacitance, F (> 0).
-        c_gb_rx: Rx ground-to-body capacitance, F (> 0).
-        c_l: Load capacitance, F (> 0).
-        c_b: Body-to-earth capacitance, F (> 0).
-        c_c: Inter-device coupling capacitance, F (>= 0; 0 omits the branch).
+    The scenario has checked every capacitance.  A scenario of columns gives
+    a batch, which always carries the C_c branch: its zero rows add exact
+    zeros to their matrices.
     """
-    require_positive(c_x_tx=c_x_tx, c_x_rx=c_x_rx, c_gb_rx=c_gb_rx, c_l=c_l, c_b=c_b)
-    require_nonnegative(c_c=c_c)
-
     branches = [
-        (NODE_BODY, NODE_EARTH, c_b),
-        (NODE_TX_GROUND, NODE_EARTH, c_x_tx),
-        (NODE_RX_GROUND, NODE_EARTH, c_x_rx),
-        (NODE_BODY, NODE_RX_GROUND, c_l),
-        (NODE_BODY, NODE_RX_GROUND, c_gb_rx),
+        (NODE_BODY, NODE_EARTH, s.c_b),
+        (NODE_TX_GROUND, NODE_EARTH, s.c_x_tx),
+        (NODE_RX_GROUND, NODE_EARTH, s.c_x_rx),
+        (NODE_BODY, NODE_RX_GROUND, s.c_l),
+        (NODE_BODY, NODE_RX_GROUND, s.c_gb_rx),
     ]
-    if isinstance(c_c, np.ndarray) or c_c > 0:
-        branches.append((NODE_TX_GROUND, NODE_RX_GROUND, c_c))
+    if isinstance(s.c_c, np.ndarray) or s.c_c > 0:
+        branches.append((NODE_TX_GROUND, NODE_RX_GROUND, s.c_c))
     return CapNetwork(
         node_count=4,
         branches=tuple(branches),

@@ -183,20 +183,20 @@ def _evaluate(spec: SweepSpec, values) -> SweepResult:
     """
     column, drive, _ = SWEEP_KINDS[spec.kind]
     scenario = build_scenario(drive(spec.base, values))
-    capacitances = [getattr(scenario, name) for name in CAPACITANCE_NAMES]
+    capacitances = {name: getattr(scenario, name) for name in CAPACITANCE_NAMES}
     if isinstance(values, np.ndarray):
         # Quantities the swept value does not reach become constant columns.
-        capacitances = [np.broadcast_to(c, values.shape) for c in capacitances]
-        scenario = ChannelScenario(*capacitances)
+        capacitances = {n: np.broadcast_to(c, values.shape) for n, c in capacitances.items()}
+        scenario = ChannelScenario(**capacitances)
     ratio = full_transfer(scenario)
     oracle = oracle_error = None
     if spec.include_oracle:
-        oracle = oracle_ratio(capacitances)
+        oracle = oracle_ratio(scenario)
         oracle_error = relative_error(ratio, oracle)
     return SweepResult(
         swept_name=column,
         swept=values,
-        capacitance=dict(zip(_CAP_COLUMNS, capacitances)),
+        capacitance=dict(zip(_CAP_COLUMNS, capacitances.values())),
         ratio=ratio,
         loss_db=-ratio_to_db(ratio),
         flags=tuple(regime_flags(scenario)),

@@ -103,8 +103,7 @@ class ChannelScenario:
         )
 
 
-# The six capacitance fields of a scenario, in the order of the sweep CSV
-# columns and of build_channel_network's parameters.
+# The six capacitance fields of a scenario, in the order of the sweep CSV columns.
 CAPACITANCE_NAMES = tuple(f.name for f in fields(ChannelScenario) if f.name != "provenance")
 
 
@@ -201,6 +200,11 @@ def simplified_transfer(s: ChannelScenario) -> float:
     )
 
 
+def _same_radius(tx: DeviceGeometry, rx: DeviceGeometry) -> bool:
+    """Whether two devices share the one radius the geometric forms assume."""
+    return math.isclose(tx.radius_a, rx.radius_a, rel_tol=1e-12)
+
+
 def geometric_transfer(
     tx: DeviceGeometry,
     rx: DeviceGeometry,
@@ -240,7 +244,7 @@ def geometric_transfer(
         ValueError: If radii differ, inputs are invalid, or only one of d
             and k is given.
     """
-    if not math.isclose(tx.radius_a, rx.radius_a, rel_tol=1e-12):
+    if not _same_radius(tx, rx):
         raise ValueError(
             f"geometric form assumes equal radii, got tx={tx.radius_a} rx={rx.radius_a}"
         )
@@ -320,16 +324,15 @@ def regime_flags(s: ChannelScenario) -> tuple[str, ...]:
     return _FLAG_SETS[code]
 
 
-def oracle_ratio(capacitances) -> float:
-    """Nodal-solution transfer ratio of the six capacitances in
-    :data:`CAPACITANCE_NAMES` order (columns give one ratio per row).
+def oracle_ratio(s: ChannelScenario) -> float:
+    """Nodal-solution transfer ratio of a scenario (columns give one ratio per row).
 
     Raises:
         SingularNetworkError: Propagated from the nodal solve.
         DegenerateScenarioError: If the ratio is not positive, which only
             rounding in the solve gives for positive capacitances.
     """
-    ratio = solve_transfer(build_channel_network(*capacitances)).ratio
+    ratio = solve_transfer(build_channel_network(s)).ratio
     if not holds(ratio > 0):
         raise DegenerateScenarioError(f"oracle: nodal ratio {ratio} is not positive")
     return ratio
@@ -341,11 +344,12 @@ def compare_closed_forms(
     """Evaluate every applicable closed form plus the nodal oracle.
 
     Geometric forms are included when the scenario carries full geometric
-    provenance; ``geometric_full`` also needs its ``d`` and ``k``, which
-    scenario assembly records only inside the decoupling distance.  Pairwise
-    relative errors cover each closed form against the oracle and the closed
-    forms against the full expression.  ``frequency`` is only echoed in the
-    report: the capacitive channel does not depend on it.
+    provenance of two devices of one radius; ``geometric_full`` also needs
+    its ``d`` and ``k``, which scenario assembly records only inside the
+    decoupling distance.  Pairwise relative errors cover each closed form
+    against the oracle and the closed forms against the full expression.
+    ``frequency`` is only echoed in the report: the capacitive channel does
+    not depend on it.
 
     Raises:
         SingularNetworkError, DegenerateScenarioError: From the closed forms
@@ -358,15 +362,14 @@ def compare_closed_forms(
         "simplified": simplified_transfer(s),
         "full": full_transfer(s),
     }
-    if s.has_full_geometry():
-        p = s.provenance
-        assert p is not None
+    p = s.provenance
+    if s.has_full_geometry() and _same_radius(p.tx_geom, p.rx_geom):
         inputs = (p.tx_geom, p.rx_geom, p.x_tx, p.x_rx, p.c_f, s.c_l, s.c_b)
         ratios["geometric_distant"] = geometric_transfer(*inputs)
         if p.d is not None and p.k is not None:
             ratios["geometric_full"] = geometric_transfer(*inputs, d=p.d, k=p.k)
 
-    ratios["oracle"] = oracle_ratio([getattr(s, name) for name in CAPACITANCE_NAMES])
+    ratios["oracle"] = oracle_ratio(s)
 
     errors: dict[str, float] = {}
     for name, value in ratios.items():

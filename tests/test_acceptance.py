@@ -76,9 +76,9 @@ def test_criterion_1_oracle_agreement():
     errors = []
     for _ in range(1000):
         draw = box_draw(rng)
-        closed = full_transfer(ChannelScenario(**draw))
-        net = build_channel_network(**draw)
-        oracle = solve_transfer(net).ratio
+        scenario = ChannelScenario(**draw)
+        closed = full_transfer(scenario)
+        oracle = solve_transfer(build_channel_network(scenario)).ratio
         errors.append(abs(closed - oracle) / max(abs(closed), abs(oracle)))
     elapsed = time.perf_counter() - started
     errors = np.asarray(errors)

@@ -118,11 +118,18 @@ class TestEval:
              "[rx] ground_body_f"),
             ("default_direct.cfg", "[tx]\nreturn_path_f = 0.5e-12",
              "[tx]\nreturn_path_f = -0.5e-12", "[tx] return_path_f"),
+            ("sample_geometric.cfg", "k_f_per_m = 2.0e-12", "k_f_per_m = -2e-12",
+             "[link] k_f_per_m"),
+            ("sample_geometric.cfg", "k_f_per_m = 2.0e-12", "k_f_per_m = 0", "[link] k_f_per_m"),
+            ("sample_geometric.cfg", "[body]", "[body]\nsegment_length_m = 0",
+             "[body] segment_length_m"),
+            ("sample_geometric.cfg", "fringe_f = 0.75e-12", "fringe_f = -1e-12", "[rx] fringe_f"),
         ],
         ids=[
             "decouple-nan", "decouple-negative", "separation-inf", "frequency-nan",
             "anchor-fraction-above-1", "unknown-segment", "zero-load", "negative-body",
-            "zero-ground-body", "negative-return-path",
+            "zero-ground-body", "negative-return-path", "negative-k", "zero-k",
+            "zero-segment-length", "negative-fringe",
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, name, old, new, key):
@@ -130,6 +137,17 @@ class TestEval:
         assert proc.returncode == 1
         assert key in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_unequal_radii_omit_geometric_forms(self, tmp_path):
+        """The geometric forms assume one radius; other devices still evaluate."""
+        config = edited_config(
+            tmp_path, "sample_geometric.cfg", "[rx]\nradius_m = 0.03", "[rx]\nradius_m = 0.02"
+        )
+        proc = run_cli("eval", str(config), "--json")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        names = [*payload["ratios"], *payload["relative_errors"], *payload["loss_db"]]
+        assert not [name for name in names if name.startswith("geometric_")]
 
     def test_overflowing_radius_exits_1_naming_key(self, tmp_path):
         """pi*a^2 overflows a float for a 1e200 m radius."""

@@ -198,6 +198,10 @@ class TestCalibrateCouplingConstant:
         with pytest.raises(ValueError, match="positive"):
             calibrate_coupling_constant(*args)
 
+    def test_infinite_reference_names_c_c_ref(self):
+        with pytest.raises(ValueError, match="^c_c_ref must be positive, got inf$"):
+            calibrate_coupling_constant(math.inf, 0.1, 3e-3)
+
     def test_coupling_constant_validation(self):
         with pytest.raises(ValueError, match="k must be positive"):
             CouplingConstant(0.0)

@@ -1,6 +1,9 @@
 """Tests for shadowing profiles and config-driven scenario assembly."""
 
+import math
+import re
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -46,6 +49,14 @@ c_b_f = 150.838e-12
 [link]
 coupling_f = 0
 """
+
+
+DIRECT_CONFIG = ScenarioConfig(
+    tx=SideConfig(return_path_f=0.5e-12),
+    rx=SideConfig(return_path_f=0.5e-12, ground_body_f=3e-12, load_f=10e-12),
+    c_b_f=150.838e-12,
+    coupling_f=0.0,
+)
 
 
 class TestShadowingProfile:
@@ -334,4 +345,21 @@ class TestProgrammaticConfig:
             coupling_f=0.0,
         )
         with pytest.raises(ConfigError, match="shadowing_x"):
+            build_scenario(config)
+
+    @pytest.mark.parametrize(
+        "key, config",
+        [
+            ("[link] decouple_m", replace(DIRECT_CONFIG, decouple_m=math.nan)),
+            ("[body] segment_length_m", replace(DIRECT_CONFIG, segment_length_m=math.nan)),
+            ("[link] coupling_f", replace(DIRECT_CONFIG, coupling_f=math.nan)),
+            ("[rx] fringe_f",
+             replace(DIRECT_CONFIG, rx=replace(DIRECT_CONFIG.rx, fringe_f=math.nan))),
+        ],
+        ids=["decouple_m", "segment_length_m", "coupling_f", "fringe_f"],
+    )
+    def test_nan_value_names_key(self, key, config):
+        """NaN is neither positive nor nonnegative, and the error names its key."""
+        message = f"^{re.escape(key)} must be (positive|nonnegative), got nan$"
+        with pytest.raises(ConfigError, match=message):
             build_scenario(config)

@@ -145,8 +145,7 @@ def evaluate_row(spec, value):
     ratio = full_transfer(scenario)
     row = {name: getattr(scenario, name) for name in FIELDS}
     if spec.include_oracle:
-        net = build_channel_network(*(row[name] for name in FIELDS))
-        row["oracle_ratio"] = solve_transfer(net).ratio
+        row["oracle_ratio"] = solve_transfer(build_channel_network(scenario)).ratio
         row["oracle_rel_error"] = relative_error(ratio, row["oracle_ratio"])
     row.update(ratio=ratio, loss_db=-ratio_to_db(ratio), flags=regime_flags(scenario))
     return row
@@ -275,8 +274,8 @@ DIRECT_SIDES = dict(
         (lambda: shadowing_factor(np.array([0.5, 0.95]),
                                   ShadowingProfile("arm", ((0.1, 0.3), (0.9, 0.5)))), ValueError),
         (lambda: body_capacitance_lookup(np.array([0.4, 9.0]), SMALL_TABLE), ValueError),
-        (lambda: build_channel_network(np.array([1e-12, -1e-12]), 1e-12, 3e-12, 1e-11, 1e-10,
-                                       0.0), ValueError),
+        (lambda: ChannelScenario(np.array([1e-12, -1e-12]), 1e-12, 3e-12, 1e-11, 1e-10, 0.0),
+         ValueError),
         (lambda: ChannelScenario(1e-12, 1e-12, 1e-12, 1e-12, 1e-10, np.array([0.0, -1e-15])),
          ValueError),
     ],

@@ -14,7 +14,6 @@ from hbc_channel import (
     DeviceGeometry,
     GeometricProvenance,
     body_potential_ratio,
-    build_channel_network,
     compare_closed_forms,
     coupling_capacitance,
     extract_return_path,
@@ -400,18 +399,32 @@ class TestScenarioValidation:
                 c_b=150e-12, c_c=-1e-15,
             )
 
+    def test_rejects_negative_coupling_at_reference_point(self):
+        with pytest.raises(ValueError, match="c_c"):
+            ChannelScenario(
+                c_x_tx=0.5e-12, c_x_rx=0.5e-12, c_gb_rx=3e-12, c_l=10e-12,
+                c_b=150.838e-12, c_c=-1e-15,
+            )
+
+    def test_rejects_nonpositive_required_capacitance(self):
+        with pytest.raises(ValueError, match="c_l"):
+            ChannelScenario(
+                c_x_tx=0.5e-12, c_x_rx=0.5e-12, c_gb_rx=3e-12, c_l=0.0,
+                c_b=150.838e-12, c_c=0.0,
+            )
+
     @pytest.mark.parametrize(
         "call, message",
         [
             (lambda: ChannelScenario(1e-12, 1e-12, 1e-12, 1e-12, 1e-10, -1e-15),
              "c_c must be nonnegative, got -1e-15"),
-            (lambda: build_channel_network(1e-12, 1e-12, 1e-12, 1e-12, 1e-10, math.inf),
+            (lambda: ChannelScenario(1e-12, 1e-12, 1e-12, 1e-12, 1e-10, math.inf),
              "c_c must be nonnegative, got inf"),
             (lambda: geometric_transfer(TestGeometricTransfer.GEOM, TestGeometricTransfer.GEOM,
                                         0.5, 0.5, math.nan, 1e-11, 1e-10),
              "c_f must be nonnegative, got nan"),
         ],
-        ids=["scenario", "network", "geometric"],
+        ids=["scenario", "scenario-inf", "geometric"],
     )
     def test_nonnegativity_message(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
