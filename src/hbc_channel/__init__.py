@@ -14,7 +14,6 @@ from .config import (
     ScenarioConfig,
     SideConfig,
     build_scenario,
-    effective_coupling_capacitance,
     load_config_file,
 )
 from .constants import (
@@ -25,7 +24,6 @@ from .constants import (
     EQS_MAX_FREQUENCY_HZ,
 )
 from .geometry import (
-    CouplingConstant,
     DeviceGeometry,
     calibrate_coupling_constant,
     coupling_capacitance,
@@ -89,7 +87,6 @@ __all__ = [
     "ChannelScenario",
     "ConfigError",
     "COUPLED_COUPLING_F",
-    "CouplingConstant",
     "DECOUPLING_DISTANCE_M",
     "DegenerateScenarioError",
     "DeviceGeometry",
@@ -122,7 +119,6 @@ __all__ = [
     "compare_closed_forms",
     "coupling_capacitance",
     "default_frequency_grid",
-    "effective_coupling_capacitance",
     "emit_csv",
     "extract_body_capacitance",
     "extract_return_path",

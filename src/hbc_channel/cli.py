@@ -225,7 +225,7 @@ def _cmd_resonance(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     k = calibrate_coupling_constant(args.cc, args.d, args.area)
-    print(f"k_f_per_m = {k.k:.12g}")
+    print(f"k_f_per_m = {k:.12g}")
     return EXIT_OK
 
 

@@ -42,7 +42,6 @@ from pathlib import Path
 from .columns import fails, holds, shown
 from .constants import DECOUPLING_DISTANCE_M, DEFAULT_FREQUENCY_HZ, EQS_MAX_FREQUENCY_HZ
 from .geometry import (
-    CouplingConstant,
     DeviceGeometry,
     coupling_capacitance,
     ground_to_body_capacitance,
@@ -318,20 +317,25 @@ def _pick(
 ) -> float | None:
     """The direct-or-derived rule that every channel quantity follows.
 
-    A direct value must be positive, or nonnegative with ``zero_ok`` (NaN is
-    neither); this is the one such check of every scenario config value.  A
-    derived value is the one kept; a direct value given beside it must agree
-    with it to ``CONSISTENCY_REL_TOL`` relative.  A direct value alone is kept
-    as given.  With neither, the ``missing`` message is raised, or ``None`` is
-    returned when ``missing`` is ``None`` (an optional quantity).
+    Direct and derived values alike must be finite and positive, or
+    nonnegative with ``zero_ok`` (NaN is neither); this is the one such check
+    of every scenario config value, and it names ``name`` also for a derived
+    value that flushed to zero.  A derived value is the one kept; a direct
+    value given beside it must agree with it to ``CONSISTENCY_REL_TOL``
+    relative.  A direct value alone is kept as given.  With neither, the
+    ``missing`` message is raised, or ``None`` is returned when ``missing`` is
+    ``None`` (an optional quantity).
 
     Raises:
-        ConfigError: On a direct value out of range, on disagreement, or on a
-            missing required quantity.
+        ConfigError: On a value out of range, on disagreement, or on a missing
+            required quantity.
     """
-    if direct is not None and not holds(direct >= 0 if zero_ok else direct > 0):
-        sign = "nonnegative" if zero_ok else "positive"
-        raise ConfigError(f"{name} must be {sign}, got {shown(direct, '')}")
+    sign = "nonnegative" if zero_ok else "positive"
+    for value, source in ((direct, ""), (derived, " (derived)")):
+        if value is not None and not holds(
+            ((value >= 0) if zero_ok else (value > 0)) & (value < math.inf)
+        ):
+            raise ConfigError(f"{name}{source} must be {sign}, got {shown(value, '')}")
     if derived is not None:
         if direct is not None and fails(relative_error(direct, derived) > CONSISTENCY_REL_TOL):
             raise ConfigError(
@@ -390,20 +394,6 @@ def _resolve_separation(config: ScenarioConfig) -> float | None:
                 "device separation would be zero"
             )
     return _pick("[link] separation_m", config.separation_m, derived, None)
-
-
-def effective_coupling_capacitance(
-    geom: DeviceGeometry, d: float, k: CouplingConstant, decouple_m: float
-) -> float:
-    """Coupling capacitance with the far-field cutoff applied.
-
-    The near-field law C_c = k*A/d only holds while the two ground plates see
-    each other; beyond ``decouple_m`` the body and environment shield the
-    direct path and the coupling drops below anything resolvable, so it is
-    taken as zero.  The law is evaluated at every separation, so its checks
-    hold beyond the cutoff too; a float ``d`` gives a float.
-    """
-    return coupling_capacitance(geom, d, k) * (d < decouple_m)
 
 
 def body_capacitance(config: ScenarioConfig) -> float:
@@ -480,8 +470,7 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
 
     # Inter-device coupling: direct, or the shielded near-field law.
     separation = _resolve_separation(config)
-    k_f_per_m = _pick("[link] k_f_per_m", config.k_f_per_m, None, None)
-    k = CouplingConstant(k_f_per_m) if k_f_per_m is not None else None
+    k = _pick("[link] k_f_per_m", config.k_f_per_m, None, None)
     derived_cc = None
     if k is not None and separation is not None:
         if tx_geom is None:
@@ -490,7 +479,9 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
                 "coupling capacitance plate area)"
             )
         try:
-            derived_cc = effective_coupling_capacitance(tx_geom, separation, k, decouple_m)
+            # From decouple_m on, the body and environment shield the plates from
+            # each other: C_c is zero, though the law's checks still apply.
+            derived_cc = coupling_capacitance(tx_geom, separation, k) * (separation < decouple_m)
         except ValueError as exc:
             raise ConfigError(
                 f"[tx] radius_m, [link] k_f_per_m and the device separation: {exc}"

@@ -57,16 +57,6 @@ class DeviceGeometry:
         return math.pi * (np.float_power(a, 2) if isinstance(a, np.ndarray) else a**2)
 
 
-@dataclass(frozen=True)
-class CouplingConstant:
-    """Proportionality constant of the inter-device coupling law, F/m."""
-
-    k: float
-
-    def __post_init__(self) -> None:
-        require_positive(k=self.k)
-
-
 def _validated_capacitance(value: float, context: str) -> float:
     """Clamp a computed capacitance to a finite nonnegative float.
 
@@ -110,18 +100,20 @@ def return_path_capacitance(geom: DeviceGeometry, x: float) -> float:
     return _validated_capacitance(value, "return_path_capacitance")
 
 
-def coupling_capacitance(geom: DeviceGeometry, d: float, k: CouplingConstant) -> float:
+def coupling_capacitance(geom: DeviceGeometry, d: float, k: float) -> float:
     """Near-field coupling capacitance between two device ground plates, F.
 
-    ``C_c = k * pi * a^2 / d``: proportional to plate area, inversely
-    proportional to the plate separation d (zero at d = inf).
+    ``C_c = k * pi * a^2 / d`` with the coupling constant k in F/m:
+    proportional to plate area, inversely proportional to the plate
+    separation d (zero at d = inf).
 
     Raises:
-        ValueError: If d <= 0 or NaN.
+        ValueError: If d <= 0 or NaN, or k is not positive and finite.
     """
     if not holds(d > 0):
         raise ValueError(f"device separation d must be positive, got {d}")
-    value = k.k * geom.plate_area / d
+    require_positive(k=k)
+    value = k * geom.plate_area / d
     return _validated_capacitance(value, "coupling_capacitance")
 
 
@@ -138,10 +130,8 @@ def ground_to_body_capacitance(c_pp: float, c_fringe: float) -> float:
     return _validated_capacitance(c_pp + c_fringe, "ground_to_body_capacitance")
 
 
-def calibrate_coupling_constant(
-    c_c_ref: float, d_ref: float, area_ref: float
-) -> CouplingConstant:
-    """Back-solve the coupling constant from one measured reference point.
+def calibrate_coupling_constant(c_c_ref: float, d_ref: float, area_ref: float) -> float:
+    """Back-solve the coupling constant k, F/m, from one measured reference point.
 
     Inverts ``C_c = k * A / d`` so that :func:`coupling_capacitance` with the
     returned constant reproduces ``c_c_ref`` exactly at ``(area_ref, d_ref)``.
@@ -152,7 +142,10 @@ def calibrate_coupling_constant(
         area_ref: Plate area of the devices used, m^2.
 
     Raises:
-        ValueError: Naming the first input that is not positive and finite.
+        ValueError: Naming the first input that is not positive and finite,
+            or ``k`` when the quotient overflows or underflows.
     """
     require_positive(c_c_ref=c_c_ref, d_ref=d_ref, area_ref=area_ref)
-    return CouplingConstant(c_c_ref * d_ref / area_ref)
+    k = c_c_ref * d_ref / area_ref
+    require_positive(k=k)
+    return k

@@ -56,10 +56,9 @@ def shadowing_factor(s: float, profile: ShadowingProfile) -> float:
             numpy column gives a column.
 
     Raises:
-        ValueError: If s is outside the anchor range (no extrapolation).
+        ValueError: If s is NaN or outside the anchor range, which lies in
+            [0, 1] (no extrapolation).
     """
-    if not holds((s >= 0.0) & (s <= 1.0)):
-        raise ValueError(f"body coordinate s={s} outside [0, 1]")
     low, high = profile.anchors[0][0], profile.anchors[-1][0]
     if not holds((s >= low) & (s <= high)):
         raise ValueError(

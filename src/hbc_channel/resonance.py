@@ -328,8 +328,6 @@ def body_capacitance_lookup(thickness: float, table: DielectricTable) -> float:
     table range are rejected rather than extrapolated.  A numpy column of
     thicknesses gives a column.
     """
-    if not holds(abs(thickness) < math.inf):
-        raise ValueError(f"thickness must be finite, got {thickness}")
     low, high = table.rows[0][0], table.rows[-1][0]
     if not holds((thickness >= low) & (thickness <= high)):
         raise ValueError(

@@ -40,7 +40,7 @@ from .constants import (
     DISTANT_COUPLING_F,
     EPSILON_0,
 )
-from .geometry import CouplingConstant, DeviceGeometry, return_path_capacitance
+from .geometry import DeviceGeometry, return_path_capacitance
 from .network import build_channel_network, solve_transfer
 
 
@@ -66,8 +66,8 @@ class GeometricProvenance:
     """Geometric inputs a scenario's capacitances were derived from.
 
     Any subset may be present; fields left ``None`` were supplied directly as
-    capacitances.  ``d`` and ``k`` are present only when the near-field law
-    ``k*pi*a^2/d`` gave the scenario's coupling capacitance.
+    capacitances.  ``d`` (m) and ``k`` (F/m) are present only when the
+    near-field law ``k*pi*a^2/d`` gave the scenario's coupling capacitance.
     """
 
     tx_geom: DeviceGeometry | None = None
@@ -76,7 +76,7 @@ class GeometricProvenance:
     x_rx: float | None = None
     c_f: float | None = None
     d: float | None = None
-    k: CouplingConstant | None = None
+    k: float | None = None
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def geometric_transfer(
     c_l: float,
     c_b: float,
     d: float | None = None,
-    k: CouplingConstant | None = None,
+    k: float | None = None,
 ) -> float:
     """Transfer ratio written directly in device geometry.
 
@@ -238,11 +238,11 @@ def geometric_transfer(
         c_l: Load capacitance, F.
         c_b: Body-to-earth capacitance, F.
         d: Device separation, m (coupled form only).
-        k: Coupling constant (coupled form only).
+        k: Coupling constant, F/m (coupled form only).
 
     Raises:
-        ValueError: If radii differ, inputs are invalid, or only one of d
-            and k is given.
+        ValueError: If radii differ, inputs are invalid (d not positive or
+            NaN, k not positive and finite), or only one of d and k is given.
     """
     if not _same_radius(tx, rx):
         raise ValueError(
@@ -256,9 +256,10 @@ def geometric_transfer(
     if d is not None or k is not None:
         if d is None or k is None:
             raise ValueError("coupled geometric form requires d and k")
-        if d <= 0:
+        if not d > 0:
             raise ValueError(f"device separation d must be positive, got {d}")
-        c_c = k.k * math.pi * a**2 / d
+        require_positive(k=k)
+        c_c = k * math.pi * a**2 / d
 
     x_tx_cap = return_path_capacitance(tx, x_tx)
     x_rx_cap = return_path_capacitance(rx, x_rx)

@@ -19,7 +19,6 @@ from conftest import CONFIG_DIR, make_random_network, reference_channel_ratio
 from hbc_channel import (
     CapNetwork,
     ChannelScenario,
-    CouplingConstant,
     DeviceGeometry,
     SweepSpec,
     body_potential_ratio,
@@ -219,7 +218,7 @@ def test_criterion_5_trend_reproduction():
 def test_criterion_6_algebraic_identities():
     """Geometric/composed consistency, divider inversion, exact reduction."""
     rng = np.random.default_rng(6)
-    k = CouplingConstant(2e-12)
+    k = 2e-12
     worst_compose = 0.0
     for _ in range(100):
         geom = DeviceGeometry(

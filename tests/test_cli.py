@@ -124,12 +124,20 @@ class TestEval:
             ("sample_geometric.cfg", "[body]", "[body]\nsegment_length_m = 0",
              "[body] segment_length_m"),
             ("sample_geometric.cfg", "fringe_f = 0.75e-12", "fringe_f = -1e-12", "[rx] fringe_f"),
+            ("sample_geometric.cfg", "[tx]\nradius_m = 0.03\nplate_separation_m = 0.005\n"
+             "shadowing_x = 0.5", "[tx]\nradius_m = 0.03\nplate_separation_m = 0.005\n"
+             "shadowing_x = 5e-324", "[tx] return_path_f"),
+            ("sample_geometric.cfg", "[rx]\nradius_m = 0.03\nplate_separation_m = 0.005\n"
+             "shadowing_x = 0.5\nfringe_f = 0.75e-12", "[rx]\nradius_m = 1e-160\n"
+             "plate_separation_m = 0.005\nshadowing_x = 0.5\nfringe_f = 0",
+             "[rx] ground_body_f"),
         ],
         ids=[
             "decouple-nan", "decouple-negative", "separation-inf", "frequency-nan",
             "anchor-fraction-above-1", "unknown-segment", "zero-load", "negative-body",
             "zero-ground-body", "negative-return-path", "negative-k", "zero-k",
-            "zero-segment-length", "negative-fringe",
+            "zero-segment-length", "negative-fringe", "return-path-flushes-to-zero",
+            "ground-body-flushes-to-zero",
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, name, old, new, key):

@@ -7,7 +7,6 @@ import pytest
 
 from hbc_channel import (
     EPSILON_0,
-    CouplingConstant,
     DeviceGeometry,
     calibrate_coupling_constant,
     coupling_capacitance,
@@ -122,21 +121,21 @@ class TestCouplingCapacitance:
     def test_reference_60_femtofarad_point(self):
         """30 cm^2 plates 10 cm apart with the sample constant: ~60 fF."""
         geom = DeviceGeometry(radius_a=0.0309, thickness_t=0.005)
-        value = coupling_capacitance(geom, 0.1, CouplingConstant(2.0e-12))
+        value = coupling_capacitance(geom, 0.1, 2.0e-12)
         assert value == pytest.approx(60e-15, rel=2e-3)
 
     def test_inverse_distance_scaling(self):
         geom = DeviceGeometry(0.0309, 0.005)
-        k = CouplingConstant(2.0e-12)
+        k = 2.0e-12
         near = coupling_capacitance(geom, 0.1, k)
         assert coupling_capacitance(geom, 0.2, k) == pytest.approx(near / 2, rel=1e-12)
 
     def test_infinite_separation_gives_zero(self):
         geom = DeviceGeometry(0.03, 0.005)
-        assert coupling_capacitance(geom, math.inf, CouplingConstant(2e-12)) == 0.0
+        assert coupling_capacitance(geom, math.inf, 2e-12) == 0.0
 
     def test_proportional_to_area(self):
-        k = CouplingConstant(2e-12)
+        k = 2e-12
         base = coupling_capacitance(DeviceGeometry(0.01, 0.005), 0.1, k)
         assert coupling_capacitance(DeviceGeometry(0.03, 0.005), 0.1, k) == pytest.approx(
             9 * base, rel=1e-12
@@ -144,14 +143,14 @@ class TestCouplingCapacitance:
 
     def test_strictly_decreasing_in_distance(self):
         geom = DeviceGeometry(0.03, 0.005)
-        k = CouplingConstant(2e-12)
+        k = 2e-12
         values = [coupling_capacitance(geom, float(d), k) for d in np.linspace(0.02, 1.0, 30)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("d", [0.0, -0.1])
     def test_rejects_nonpositive_distance(self, d):
         with pytest.raises(ValueError, match="separation"):
-            coupling_capacitance(DeviceGeometry(0.03, 0.005), d, CouplingConstant(2e-12))
+            coupling_capacitance(DeviceGeometry(0.03, 0.005), d, 2e-12)
 
 
 class TestGroundToBodyCapacitance:
@@ -177,10 +176,10 @@ class TestCalibrateCouplingConstant:
     def test_reference_inversion(self):
         """60 fF at 10 cm on 30 cm^2 back-solves to k = 2.0e-12 F/m."""
         k = calibrate_coupling_constant(60e-15, 0.1, 30e-4)
-        assert k.k == pytest.approx(2.0e-12, rel=1e-12)
+        assert k == pytest.approx(2.0e-12, rel=1e-12)
 
     def test_unit_case(self):
-        assert calibrate_coupling_constant(1.0, 1.0, 1.0).k == 1.0
+        assert calibrate_coupling_constant(1.0, 1.0, 1.0) == 1.0
 
     def test_exact_round_trip(self):
         rng = np.random.default_rng(5)
@@ -203,5 +202,13 @@ class TestCalibrateCouplingConstant:
             calibrate_coupling_constant(math.inf, 0.1, 3e-3)
 
     def test_coupling_constant_validation(self):
-        with pytest.raises(ValueError, match="k must be positive"):
-            CouplingConstant(0.0)
+        """k is a plain float in F/m that each function taking or returning it checks."""
+        geom = DeviceGeometry(0.03, 0.005)
+        for k in (0.0, -2e-12, math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^k must be positive, got {k}$"):
+                coupling_capacitance(geom, 0.1, k)
+        # A quotient that overflows or underflows is no coupling constant.
+        with pytest.raises(ValueError, match="^k must be positive, got inf$"):
+            calibrate_coupling_constant(1e300, 1e10, 1e-10)
+        with pytest.raises(ValueError, match="^k must be positive, got 0.0$"):
+            calibrate_coupling_constant(1e-300, 1e-100, 1e100)

@@ -1,0 +1,27 @@
+"""The package's public names: what ``from hbc_channel import *`` exports."""
+
+import hbc_channel
+
+# Public names deleted from the package; they must not come back by accident.
+REMOVED = ("CouplingConstant", "effective_coupling_capacitance")
+
+
+def test_star_import_succeeds():
+    namespace = {}
+    exec("from hbc_channel import *", namespace)
+    assert set(hbc_channel.__all__) <= set(namespace)
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in hbc_channel.__all__ if not hasattr(hbc_channel, name)]
+    assert missing == []
+
+
+def test_exported_names_are_unique():
+    assert len(hbc_channel.__all__) == len(set(hbc_channel.__all__))
+
+
+def test_removed_names_are_not_exported():
+    for name in REMOVED:
+        assert name not in hbc_channel.__all__
+        assert not hasattr(hbc_channel, name)

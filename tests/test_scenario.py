@@ -12,10 +12,8 @@ from hbc_channel import (
     EqsRegimeWarning,
     ShadowingProfile,
     build_scenario,
-    effective_coupling_capacitance,
     load_config_file,
     shadowing_factor,
-    CouplingConstant,
     DeviceGeometry,
     coupling_capacitance,
     ground_to_body_capacitance,
@@ -75,7 +73,7 @@ class TestShadowingProfile:
         partial = ShadowingProfile("custom", ((0.2, 0.3), (0.8, 0.6)))
         with pytest.raises(ValueError, match="anchor range"):
             shadowing_factor(0.1, partial)
-        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"outside profile anchor range \[0, 1\]"):
             shadowing_factor(1.5, ARM)
 
     def test_requires_two_anchors(self):
@@ -208,15 +206,25 @@ k_f_per_m = 2.0e-12
 
 class TestCouplingDecoupling:
     GEOM = DeviceGeometry(0.03, 0.005)
-    K = CouplingConstant(2e-12)
+    K = 2e-12
+
+    def scenario(self, d, decouple_m=0.5):
+        """A scenario whose coupling comes from the law k*pi*a^2/d."""
+        tx = replace(DIRECT_CONFIG.tx, radius_m=0.03, plate_separation_m=0.005)
+        return build_scenario(replace(
+            DIRECT_CONFIG, tx=tx, coupling_f=None, k_f_per_m=self.K, separation_m=d,
+            decouple_m=decouple_m,
+        ))
 
     def test_near_field_uses_inverse_distance_law(self):
-        value = effective_coupling_capacitance(self.GEOM, 0.1, self.K, 0.5)
-        assert value == pytest.approx(56.5e-15, rel=1e-3)
+        scenario = self.scenario(0.1)
+        assert scenario.c_c == coupling_capacitance(self.GEOM, 0.1, self.K)
+        assert scenario.c_c == pytest.approx(56.5e-15, rel=1e-3)
+        assert scenario.provenance.k == self.K
 
     def test_beyond_decoupling_distance_is_zero(self):
-        assert effective_coupling_capacitance(self.GEOM, 0.5, self.K, 0.5) == 0.0
-        assert effective_coupling_capacitance(self.GEOM, 0.8, self.K, 0.5) == 0.0
+        assert self.scenario(0.5).c_c == 0.0
+        assert self.scenario(0.8).c_c == 0.0
 
     def test_config_respects_decoupling(self, tmp_path):
         base = """
@@ -361,5 +369,22 @@ class TestProgrammaticConfig:
     def test_nan_value_names_key(self, key, config):
         """NaN is neither positive nor nonnegative, and the error names its key."""
         message = f"^{re.escape(key)} must be (positive|nonnegative), got nan$"
+        with pytest.raises(ConfigError, match=message):
+            build_scenario(config)
+
+    @pytest.mark.parametrize(
+        "key, config",
+        [
+            ("[link] k_f_per_m", replace(DIRECT_CONFIG, k_f_per_m=math.inf)),
+            ("[link] decouple_m", replace(DIRECT_CONFIG, decouple_m=math.inf)),
+            ("[body] segment_length_m", replace(DIRECT_CONFIG, segment_length_m=math.inf)),
+            ("[link] coupling_f", replace(DIRECT_CONFIG, coupling_f=math.inf)),
+        ],
+        ids=["k_f_per_m", "decouple_m", "segment_length_m", "coupling_f"],
+    )
+    def test_infinite_value_names_key(self, key, config):
+        """Config files cannot hold inf; a config built in Python is held to the
+        same finite range, and the error names its key."""
+        message = f"^{re.escape(key)} must be (positive|nonnegative), got inf$"
         with pytest.raises(ConfigError, match=message):
             build_scenario(config)

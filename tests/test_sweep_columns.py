@@ -273,14 +273,17 @@ DIRECT_SIDES = dict(
             **DIRECT_SIDES, c_b_f=1e-10, coupling_f=0.0, segment_length_m=0.65)), ConfigError),
         (lambda: shadowing_factor(np.array([0.5, 0.95]),
                                   ShadowingProfile("arm", ((0.1, 0.3), (0.9, 0.5)))), ValueError),
+        (lambda: shadowing_factor(np.array([0.5, 1.5]),
+                                  ShadowingProfile("arm", ((0.1, 0.3), (0.9, 0.5)))), ValueError),
         (lambda: body_capacitance_lookup(np.array([0.4, 9.0]), SMALL_TABLE), ValueError),
+        (lambda: body_capacitance_lookup(np.array([0.4, np.inf]), SMALL_TABLE), ValueError),
         (lambda: ChannelScenario(np.array([1e-12, -1e-12]), 1e-12, 3e-12, 1e-11, 1e-10, 0.0),
          ValueError),
         (lambda: ChannelScenario(1e-12, 1e-12, 1e-12, 1e-12, 1e-10, np.array([0.0, -1e-15])),
          ValueError),
     ],
-    ids=["checked-ratio", "pick", "separation", "shadowing", "table-lookup", "positive",
-         "nonnegative"],
+    ids=["checked-ratio", "pick", "separation", "shadowing", "shadowing-outside-unit",
+         "table-lookup", "table-lookup-inf", "positive", "nonnegative"],
 )
 def test_failing_column_raises_documented_error(call, error):
     """A check that fails on a column passed straight to a model function

@@ -9,7 +9,6 @@ import pytest
 from conftest import reference_channel_ratio
 from hbc_channel import (
     ChannelScenario,
-    CouplingConstant,
     DegenerateScenarioError,
     DeviceGeometry,
     GeometricProvenance,
@@ -224,7 +223,7 @@ class TestGeometricTransfer:
     def test_coupled_exceeds_distant(self):
         distant = geometric_transfer(self.GEOM, self.GEOM, **self.ARGS)
         coupled = geometric_transfer(
-            self.GEOM, self.GEOM, d=0.1, k=CouplingConstant(2e-12),
+            self.GEOM, self.GEOM, d=0.1, k=2e-12,
             **self.ARGS,
         )
         assert coupled > distant
@@ -232,7 +231,7 @@ class TestGeometricTransfer:
     def test_coupled_converges_to_distant_at_large_separation(self):
         distant = geometric_transfer(self.GEOM, self.GEOM, **self.ARGS)
         far = geometric_transfer(
-            self.GEOM, self.GEOM, d=1e6, k=CouplingConstant(2e-12),
+            self.GEOM, self.GEOM, d=1e6, k=2e-12,
             **self.ARGS,
         )
         assert abs(far - distant) / distant < 1e-6
@@ -246,7 +245,25 @@ class TestGeometricTransfer:
         with pytest.raises(ValueError, match="requires d and k"):
             geometric_transfer(self.GEOM, self.GEOM, d=0.1, **self.ARGS)
         with pytest.raises(ValueError, match="requires d and k"):
-            geometric_transfer(self.GEOM, self.GEOM, k=CouplingConstant(2e-12), **self.ARGS)
+            geometric_transfer(self.GEOM, self.GEOM, k=2e-12, **self.ARGS)
+
+    @pytest.mark.parametrize("k", [0.0, -2e-12, math.inf, math.nan])
+    def test_coupled_rejects_invalid_k(self, k):
+        with pytest.raises(ValueError, match=f"^k must be positive, got {k}$"):
+            geometric_transfer(self.GEOM, self.GEOM, d=0.1, k=k, **self.ARGS)
+
+    @pytest.mark.parametrize("d", [0.0, -0.1, math.nan])
+    def test_coupled_rejects_invalid_separation(self, d):
+        """NaN is no positive separation: the documented ValueError, not a
+        degenerate ratio."""
+        with pytest.raises(ValueError, match=f"^device separation d must be positive, got {d}$"):
+            geometric_transfer(self.GEOM, self.GEOM, d=d, k=2e-12, **self.ARGS)
+
+    def test_coupled_at_infinite_separation_is_distant(self):
+        """As in coupling_capacitance, d = inf gives zero coupling."""
+        distant = geometric_transfer(self.GEOM, self.GEOM, **self.ARGS)
+        far = geometric_transfer(self.GEOM, self.GEOM, d=math.inf, k=2e-12, **self.ARGS)
+        assert far == distant
 
     def test_distant_strictly_increasing_in_radius_and_bounded(self):
         radii = np.linspace(0.005, 0.25, 60)
@@ -266,7 +283,7 @@ class TestGeometricTransfer:
         assert values[-1] < huge < 1.0
 
     def test_coupled_strictly_decreasing_in_separation(self):
-        k = CouplingConstant(2e-12)
+        k = 2e-12
         values = [
             geometric_transfer(
                 self.GEOM, self.GEOM, d=float(d), k=k, **self.ARGS
@@ -278,7 +295,7 @@ class TestGeometricTransfer:
     def test_composition_identity_with_capacitance_pipeline(self):
         """Geometric form == capacitance laws + simplified form, < 1e-12."""
         rng = np.random.default_rng(53)
-        k = CouplingConstant(2e-12)
+        k = 2e-12
         for _ in range(100):
             a = float(rng.uniform(0.005, 0.05))
             t = float(rng.uniform(0.001, 0.01))
