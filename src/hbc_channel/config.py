@@ -35,8 +35,9 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .columns import fails, holds, shown
@@ -74,19 +75,33 @@ class EqsRegimeWarning(UserWarning):
     """Configured frequency lies above the electro-quasistatic band."""
 
 
+# Ranges as (text, zero allowed, upper bound), checked by `_pick`.  NaN lies
+# in none, and the largest float as the bound keeps inf out.
+_POSITIVE = ("positive", False, sys.float_info.max)
+_NONNEGATIVE = ("nonnegative", True, sys.float_info.max)
+_FRACTION = ("in (0, 1]", False, 1.0)
+_COORDINATE = ("in [0, 1]", True, 1.0)
+
+
+def _key(sections: str, limits: tuple[str, bool, float] | None = None, default=None):
+    """A field read from the key of its name in each of ``sections``, within ``limits``
+    (``None``: the type it builds checks it); with ``default=MISSING`` the key is required."""
+    return field(default=default, metadata={"sections": sections.split(), "limits": limits})
+
+
 @dataclass(frozen=True)
 class SideConfig:
     """Raw per-device inputs; ``None`` means not configured."""
 
-    radius_m: float | None = None
-    plate_separation_m: float | None = None
-    shadowing_x: float | None = None
-    position_s: float | None = None
-    return_path_f: float | None = None
+    radius_m: float | None = _key("tx rx")
+    plate_separation_m: float | None = _key("tx rx")
+    shadowing_x: float | None = _key("tx rx", _FRACTION)
+    position_s: float | None = _key("tx rx", _COORDINATE)
+    return_path_f: float | None = _key("tx rx", _POSITIVE)
     # Receiver-only inputs.
-    fringe_f: float | None = None
-    ground_body_f: float | None = None
-    load_f: float | None = None
+    fringe_f: float | None = _key("rx", _NONNEGATIVE)
+    ground_body_f: float | None = _key("rx", _POSITIVE)
+    load_f: float | None = _key("rx", _POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -95,17 +110,17 @@ class ScenarioConfig:
 
     tx: SideConfig = SideConfig()
     rx: SideConfig = SideConfig()
-    c_b_f: float | None = None
-    dielectric_thickness_m: float | None = None
-    dielectric_table: str | None = None
-    segment: str | None = None
-    shadowing_anchors: tuple[tuple[float, float], ...] | None = None
-    segment_length_m: float | None = None
-    coupling_f: float | None = None
-    k_f_per_m: float | None = None
-    separation_m: float | None = None
-    decouple_m: float = DECOUPLING_DISTANCE_M
-    frequency_hz: float = DEFAULT_FREQUENCY_HZ
+    c_b_f: float | None = _key("body", _POSITIVE)
+    dielectric_thickness_m: float | None = _key("body")
+    dielectric_table: str | None = _key("body")
+    segment: str | None = _key("body")
+    shadowing_anchors: tuple[tuple[float, float], ...] | None = _key("body")
+    segment_length_m: float | None = _key("body", _POSITIVE)
+    coupling_f: float | None = _key("link", _NONNEGATIVE)
+    k_f_per_m: float | None = _key("link", _POSITIVE)
+    separation_m: float | None = _key("link", _POSITIVE)
+    decouple_m: float = _key("link", _POSITIVE, default=DECOUPLING_DISTANCE_M)
+    frequency_hz: float = _key("channel", _POSITIVE, default=DEFAULT_FREQUENCY_HZ)
     base_dir: Path | None = None
 
     def profile(self) -> ShadowingProfile | None:
@@ -120,12 +135,12 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class ResonanceSection:
-    inductance_h: float
-    series_resistance_ohm: float = DEFAULT_SERIES_RESISTANCE_OHM
-    capacitance_f: float | None = None
-    f_min_hz: float = DEFAULT_GRID_MIN_HZ
-    f_max_hz: float = DEFAULT_GRID_MAX_HZ
-    points: int = DEFAULT_GRID_POINTS
+    inductance_h: float = _key("resonance", default=MISSING)
+    series_resistance_ohm: float = _key("resonance", default=DEFAULT_SERIES_RESISTANCE_OHM)
+    capacitance_f: float | None = _key("resonance")
+    f_min_hz: float = _key("resonance", default=DEFAULT_GRID_MIN_HZ)
+    f_max_hz: float = _key("resonance", default=DEFAULT_GRID_MAX_HZ)
+    points: int = _key("resonance", default=DEFAULT_GRID_POINTS)
 
 
 @dataclass(frozen=True)
@@ -134,35 +149,6 @@ class ParsedConfig:
     scenario: ScenarioConfig
     sweep: dict[str, object] | None = None  # SweepSpec fields, unchecked
     resonance: ResonanceSection | None = None
-
-
-_SIDE_KEYS = {
-    "radius_m", "plate_separation_m", "shadowing_x", "position_s", "return_path_f",
-}
-_RX_ONLY_KEYS = {"fringe_f", "ground_body_f", "load_f"}
-_ALLOWED_KEYS = {
-    "tx": _SIDE_KEYS,
-    "rx": _SIDE_KEYS | _RX_ONLY_KEYS,
-    "body": {
-        "c_b_f", "dielectric_thickness_m", "dielectric_table", "segment",
-        "shadowing_anchors", "segment_length_m",
-    },
-    "link": {"coupling_f", "k_f_per_m", "separation_m", "decouple_m"},
-    "channel": {"frequency_hz"},
-    "sweep": {"kind", "min", "max", "steps"},
-    "resonance": {
-        "inductance_h", "series_resistance_ohm", "capacitance_f",
-        "f_min_hz", "f_max_hz", "points",
-    },
-}
-
-
-# Keys whose values are not floats; every other key parses as a float.
-_TEXT_KEYS = {"dielectric_table", "segment", "kind"}
-_INT_KEYS = {"steps", "points"}
-# [sweep] keys whose SweepSpec field has another name.
-_FIELD_OF_KEY = {"min": "start", "max": "stop"}
-_REQUIRED_KEYS = {"sweep": ("kind", "min", "max", "steps"), "resonance": ("inductance_h",)}
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
@@ -182,7 +168,7 @@ def _parse_int(section: str, key: str, raw: str) -> int:
         raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from exc
 
 
-def _parse_anchors(section: str, raw: str) -> tuple[tuple[float, float], ...]:
+def _parse_anchors(section: str, key: str, raw: str) -> tuple[tuple[float, float], ...]:
     """Parse `s:x, s:x, ...` anchor lists."""
     anchors = []
     for item in raw.split(","):
@@ -191,26 +177,39 @@ def _parse_anchors(section: str, raw: str) -> tuple[tuple[float, float], ...]:
             continue
         parts = item.split(":")
         if len(parts) != 2:
-            raise ConfigError(
-                f"[{section}] shadowing_anchors: expected 's:x' pairs, got {item!r}"
-            )
-        anchors.append((
-            _parse_float(section, "shadowing_anchors", parts[0]),
-            _parse_float(section, "shadowing_anchors", parts[1]),
-        ))
+            raise ConfigError(f"[{section}] {key}: expected 's:x' pairs, got {item!r}")
+        anchors.append(tuple(_parse_float(section, key, part) for part in parts))
     if not anchors:
-        raise ConfigError(f"[{section}] shadowing_anchors: empty anchor list")
+        raise ConfigError(f"[{section}] {key}: empty anchor list")
     return tuple(anchors)
 
 
-def _parse_value(section: str, key: str, raw: str):
-    if key in _TEXT_KEYS:
-        return raw
-    if key in _INT_KEYS:
-        return _parse_int(section, key, raw)
-    if key == "shadowing_anchors":
-        return _parse_anchors(section, raw)
-    return _parse_float(section, key, raw)
+# Parser by the first word of a field's annotation; any other key is a float.
+_PARSERS = {"str": lambda section, key, raw: raw, "int": _parse_int, "tuple": _parse_anchors}
+
+# [sweep] keys -> annotation, all required.  SweepSpec lives in sweep.py, which
+# imports this module, and `hbc eval` should not import sweep at all, so the
+# keys stay a literal here instead of being read off SweepSpec's fields.
+_SWEEP_KEYS = {"kind": "str", "min": "float", "max": "float", "steps": "int"}
+# [sweep] keys whose SweepSpec field has another name.
+_FIELD_OF_KEY = {"min": "start", "max": "stop"}
+
+
+def _schema() -> tuple[dict[str, dict[str, tuple]], dict[str, tuple[str, bool, float]]]:
+    """Section -> key -> (parser, required) and "[section] key" -> range, from `_key` fields."""
+    sections = {"sweep": {k: (_PARSERS.get(t, _parse_float), True) for k, t in _SWEEP_KEYS.items()}}
+    limits = {}
+    for cls in (SideConfig, ScenarioConfig, ResonanceSection):
+        for f in fields(cls):
+            parser = _PARSERS.get(f.type.partition(" ")[0].partition("[")[0], _parse_float)
+            for section in f.metadata.get("sections", ()):
+                sections.setdefault(section, {})[f.name] = (parser, f.default is MISSING)
+                if f.metadata["limits"] is not None:
+                    limits[f"[{section}] {f.name}"] = f.metadata["limits"]
+    return sections, limits
+
+
+_KEYS, _LIMITS = _schema()
 
 
 def load_config_file(path: str | Path) -> ParsedConfig:
@@ -225,39 +224,41 @@ def load_config_file(path: str | Path) -> ParsedConfig:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No interpolation: a "%" in a value is literal.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(path.read_text(), source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    fields: dict[str, dict[str, object]] = {}
+    values: dict[str, dict[str, object]] = {}
     for section in parser.sections():
-        if section not in _ALLOWED_KEYS:
+        if section not in _KEYS:
             raise ConfigError(
                 f"{path}: unknown section [{section}] "
-                f"(allowed: {', '.join(sorted(_ALLOWED_KEYS))})"
+                f"(allowed: {', '.join(sorted(_KEYS))})"
             )
+        schema = _KEYS[section]
         keys = dict(parser.items(section))
-        unknown = set(keys) - _ALLOWED_KEYS[section]
+        unknown = keys.keys() - schema
         if unknown:
             raise ConfigError(
                 f"{path}: unknown key(s) {sorted(unknown)} in [{section}] "
-                f"(allowed: {sorted(_ALLOWED_KEYS[section])})"
+                f"(allowed: {sorted(schema)})"
             )
-        for key in _REQUIRED_KEYS.get(section, ()):
-            if key not in keys:
+        for key, (_, required) in schema.items():
+            if required and key not in keys:
                 raise ConfigError(f"[{section}] missing required key {key!r}")
-        fields[section] = {
-            _FIELD_OF_KEY.get(key, key): _parse_value(section, key, raw)
+        values[section] = {
+            _FIELD_OF_KEY.get(key, key): schema[key][0](section, key, raw)
             for key, raw in keys.items()
         }
 
     # [body], [link] and [channel] keys are ScenarioConfig fields.
     scenario = ScenarioConfig(
-        tx=SideConfig(**fields.get("tx", {})),
-        rx=SideConfig(**fields.get("rx", {})),
-        **fields.get("body", {}), **fields.get("link", {}), **fields.get("channel", {}),
+        tx=SideConfig(**values.get("tx", {})),
+        rx=SideConfig(**values.get("rx", {})),
+        **values.get("body", {}), **values.get("link", {}), **values.get("channel", {}),
         base_dir=path.parent,
     )
     frequency = _pick("[channel] frequency_hz", scenario.frequency_hz, None, None)
@@ -271,8 +272,8 @@ def load_config_file(path: str | Path) -> ParsedConfig:
             stacklevel=2,
         )
 
-    resonance = ResonanceSection(**fields["resonance"]) if "resonance" in fields else None
-    return ParsedConfig(path, scenario, sweep=fields.get("sweep"), resonance=resonance)
+    resonance = ResonanceSection(**values["resonance"]) if "resonance" in values else None
+    return ParsedConfig(path, scenario, sweep=values.get("sweep"), resonance=resonance)
 
 
 def resolve_table_path(name: str, base_dir: Path | None) -> Path:
@@ -312,30 +313,29 @@ def load_dielectric_table(scenario: ScenarioConfig) -> DielectricTable:
 
 
 def _pick(
-    name: str, direct: float | None, derived: float | None, missing: str | None,
-    *, zero_ok: bool = False,
+    name: str, direct: float | None, derived: float | None, missing: str | None
 ) -> float | None:
     """The direct-or-derived rule that every channel quantity follows.
 
-    Direct and derived values alike must be finite and positive, or
-    nonnegative with ``zero_ok`` (NaN is neither); this is the one such check
-    of every scenario config value, and it names ``name`` also for a derived
-    value that flushed to zero.  A derived value is the one kept; a direct
-    value given beside it must agree with it to ``CONSISTENCY_REL_TOL``
-    relative.  A direct value alone is kept as given.  With neither, the
-    ``missing`` message is raised, or ``None`` is returned when ``missing`` is
-    ``None`` (an optional quantity).
+    Direct and derived values alike must lie in the range that the field of
+    the ``[section] key`` ``name`` declares (NaN lies in none); this is the
+    one range check of every scenario config value, and it names ``name``
+    also for a derived value that flushed to zero.  A derived value is the
+    one kept; a direct value given beside it must agree with it to
+    ``CONSISTENCY_REL_TOL`` relative.  A direct value alone is kept as given.
+    With neither, the ``missing`` message is raised, or ``None`` is returned
+    when ``missing`` is ``None`` (an optional quantity).
 
     Raises:
         ConfigError: On a value out of range, on disagreement, or on a missing
             required quantity.
     """
-    sign = "nonnegative" if zero_ok else "positive"
+    text, zero_in, upper = _LIMITS[name]
     for value, source in ((direct, ""), (derived, " (derived)")):
         if value is not None and not holds(
-            ((value >= 0) if zero_ok else (value > 0)) & (value < math.inf)
+            ((value >= 0) if zero_in else (value > 0)) & (value <= upper)
         ):
-            raise ConfigError(f"{name}{source} must be {sign}, got {shown(value, '')}")
+            raise ConfigError(f"{name}{source} must be {text}, got {shown(value, '')}")
     if derived is not None:
         if direct is not None and fails(relative_error(direct, derived) > CONSISTENCY_REL_TOL):
             raise ConfigError(
@@ -371,15 +371,14 @@ def _shadowing(side: SideConfig, name: str, profile: ShadowingProfile | None) ->
             from_profile = shadowing_factor(side.position_s, profile)
         except ValueError as exc:
             raise ConfigError(f"[{name}] position_s: {exc}") from exc
-    if side.shadowing_x is not None and not (0.0 < side.shadowing_x <= 1.0):
-        raise ConfigError(f"[{name}] shadowing_x must be in (0, 1], got {side.shadowing_x}")
     return _pick(f"[{name}] shadowing_x", side.shadowing_x, from_profile, None)
 
 
 def _resolve_separation(config: ScenarioConfig) -> float | None:
     """Device separation: explicit, from body positions, or both (checked)."""
     derived = None
-    tx_s, rx_s = config.tx.position_s, config.rx.position_s
+    tx_s = _pick("[tx] position_s", config.tx.position_s, None, None)
+    rx_s = _pick("[rx] position_s", config.rx.position_s, None, None)
     length = _pick("[body] segment_length_m", config.segment_length_m, None, None)
     if tx_s is not None and rx_s is not None:
         if length is None:
@@ -451,7 +450,7 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
     c_x_rx = resolve_return_path(config.rx, rx_geom, x_rx, "rx")
 
     # Ground-to-body capacitance of the receiver.
-    c_f = _pick("[rx] fringe_f", config.rx.fringe_f, None, None, zero_ok=True)
+    c_f = _pick("[rx] fringe_f", config.rx.fringe_f, None, None)
     derived_gb = None
     if rx_geom is not None and c_f is not None:
         try:
@@ -490,7 +489,6 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
         "[link] coupling_f", config.coupling_f, derived_cc,
         "missing required parameter: [link] coupling_f, or k_f_per_m plus a "
         "separation (separation_m or device positions) to derive it",
-        zero_ok=True,
     )
 
     # d and k describe c_c only where the near-field law produced it; beyond

@@ -131,13 +131,20 @@ class TestEval:
              "shadowing_x = 0.5\nfringe_f = 0.75e-12", "[rx]\nradius_m = 1e-160\n"
              "plate_separation_m = 0.005\nshadowing_x = 0.5\nfringe_f = 0",
              "[rx] ground_body_f"),
+            # A "%" is literal: no interpolation error escapes the parser.
+            ("sample_geometric.cfg", "dielectric_table = dielectric_cb.csv",
+             "dielectric_table = dielectric%cb.csv",
+             "dielectric table 'dielectric%cb.csv' not found (tried: "),
+            ("default_direct.cfg", "[tx]\nreturn_path_f = 0.5e-12",
+             "[tx]\nreturn_path_f = 1e-12 %(x)s",
+             "[tx] return_path_f: not a number: '1e-12 %(x)s'"),
         ],
         ids=[
             "decouple-nan", "decouple-negative", "separation-inf", "frequency-nan",
             "anchor-fraction-above-1", "unknown-segment", "zero-load", "negative-body",
             "zero-ground-body", "negative-return-path", "negative-k", "zero-k",
             "zero-segment-length", "negative-fringe", "return-path-flushes-to-zero",
-            "ground-body-flushes-to-zero",
+            "ground-body-flushes-to-zero", "percent-in-table-name", "percent-interpolation",
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, name, old, new, key):
@@ -145,6 +152,19 @@ class TestEval:
         assert proc.returncode == 1
         assert key in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_position_outside_body_exits_1_naming_key(self, tmp_path):
+        """A body coordinate outside [0, 1] is rejected without a profile too,
+        where it would only stretch the device separation."""
+        config = edited_config(
+            tmp_path, "sample_geometric.cfg", "shadowing_x = 0.5\n\n[rx]",
+            "shadowing_x = 0.5\nposition_s = -40\n\n[rx]\nposition_s = 0.2",
+        )
+        config.write_text(config.read_text().replace(
+            "[body]", "[body]\nsegment_length_m = 0.6").replace("separation_m = 0.10\n", ""))
+        proc = run_cli("eval", str(config), "--json")
+        assert proc.returncode == 1
+        assert proc.stderr == "hbc: config error: [tx] position_s must be in [0, 1], got -40.0\n"
 
     def test_unequal_radii_omit_geometric_forms(self, tmp_path):
         """The geometric forms assume one radius; other devices still evaluate."""
