@@ -41,7 +41,10 @@ def require_positive(**values) -> None:
     A column must be so on every row.
     """
     for name, value in values.items():
-        if not holds((value > 0) & (value < math.inf)):
+        if not (
+            0.0 < value < math.inf if value.__class__ is float
+            else holds((value > 0) & (value < math.inf))
+        ):
             raise ValueError(f"{name} must be positive, got {shown(value, '')}")
 
 
@@ -51,5 +54,8 @@ def require_nonnegative(**values) -> None:
     A column must be so on every row.
     """
     for name, value in values.items():
-        if not holds((value >= 0) & (value < math.inf)):
+        if not (
+            0.0 <= value < math.inf if value.__class__ is float
+            else holds((value >= 0) & (value < math.inf))
+        ):
             raise ValueError(f"{name} must be nonnegative, got {shown(value, '')}")

@@ -224,8 +224,11 @@ def load_config_file(path: str | Path) -> ParsedConfig:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
-    # No interpolation: a "%" in a value is literal.
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # No interpolation: a "%" in a value is literal.  No header names the
+    # empty default section, so [DEFAULT] is a section like any other.
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
+    )
     try:
         parser.read_string(path.read_text(), source=str(path))
     except configparser.Error as exc:
@@ -278,38 +281,45 @@ def load_config_file(path: str | Path) -> ParsedConfig:
 
 def resolve_table_path(name: str, base_dir: Path | None) -> Path:
     """Locate a dielectric table: absolute, config-relative, $HBC_TABLE_DIR, then as given."""
-    candidate = Path(name)
-    if candidate.is_absolute():
-        if candidate.is_file():
-            return candidate
-        raise ConfigError(f"dielectric table not found: {candidate}")
+    return Path(_find_table(name, base_dir))
+
+
+def _find_table(name: str, base_dir: Path | None) -> str:
+    """:func:`resolve_table_path` on strings: the path found, as a string."""
+    if os.path.isabs(name):
+        found = _table_file(name)
+        if found is None:
+            raise ConfigError(f"dielectric table not found: {Path(name)}")
+        return found
     tried = []
-    if base_dir is not None:
-        local = base_dir / candidate
-        if local.is_file():
-            return local
-        tried.append(str(local))
-    env_dir = os.environ.get(TABLE_DIR_ENV)
-    if env_dir:
-        from_env = Path(env_dir) / candidate
-        if from_env.is_file():
-            return from_env
-        tried.append(str(from_env))
-    if candidate.is_file():
-        return candidate
-    tried.append(str(candidate))
+    # The empty directory joins to the name as given.
+    for directory in (base_dir, os.environ.get(TABLE_DIR_ENV) or None, ""):
+        if directory is not None:
+            found = _table_file(os.path.join(directory, name))
+            if found is not None:
+                return found
+            tried.append(str(Path(directory, name)))
     raise ConfigError(
         f"dielectric table {name!r} not found (tried: {', '.join(tried)}; "
         f"set {TABLE_DIR_ENV} to the table directory)"
     )
 
 
+def _table_file(path: str) -> str | None:
+    """``path`` if it names a file, else its `Path` spelling if that does, else None.
+
+    `Path` drops a trailing "/" or "/." that makes the plain stat fail.
+    """
+    if os.path.isfile(path):
+        return path
+    spelled = str(Path(path))
+    return spelled if spelled != path and os.path.isfile(spelled) else None
+
+
 def load_dielectric_table(scenario: ScenarioConfig) -> DielectricTable:
     if scenario.dielectric_table is None:
         raise ConfigError("missing required parameter [body] dielectric_table")
-    return DielectricTable.from_csv(
-        resolve_table_path(scenario.dielectric_table, scenario.base_dir)
-    )
+    return DielectricTable.from_csv(_find_table(scenario.dielectric_table, scenario.base_dir))
 
 
 def _pick(
@@ -330,6 +340,10 @@ def _pick(
         ConfigError: On a value out of range, on disagreement, or on a missing
             required quantity.
     """
+    if direct is None and derived is None:  # most keys of most configs
+        if missing is not None:
+            raise ConfigError(missing)
+        return None
     text, zero_in, upper = _LIMITS[name]
     for value, source in ((direct, ""), (derived, " (derived)")):
         if value is not None and not holds(
@@ -343,8 +357,6 @@ def _pick(
                 f"derivation {shown(derived, '.12g')} (more than {CONSISTENCY_REL_TOL:g} relative)"
             )
         return derived
-    if direct is None and missing is not None:
-        raise ConfigError(missing)
     return direct
 
 

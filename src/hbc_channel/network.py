@@ -64,7 +64,9 @@ class CapNetwork:
                 raise ValueError(f"branch ({i}, {j}) references a node out of range")
             if i == j:
                 raise ValueError(f"branch ({i}, {j}) connects a node to itself")
-            if isinstance(c, np.ndarray):  # a batch branch may be absent (zero) on some rows
+            if c.__class__ is float:  # the common case first
+                valid = 0.0 < c < math.inf
+            elif isinstance(c, np.ndarray):  # a batch branch may be absent (zero) on some rows
                 valid = holds((c >= 0) & (c < math.inf))
             else:
                 valid = c > 0 and math.isfinite(c)
@@ -147,23 +149,18 @@ def well_posedness_check(net: CapNetwork) -> tuple[int, ...]:
     tuple of floating node ids; an empty tuple means the network is well
     posed.
     """
-    adjacency: dict[int, set[int]] = {n: set() for n in range(net.node_count)}
-    for i, j, _ in net.branches:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    sp, sm = net.source
-    adjacency[sp].add(sm)
-    adjacency[sm].add(sp)
-
-    seen = {0}
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for nxt in adjacency[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return tuple(sorted(set(range(net.node_count)) - seen))
+    edges = [(i, j) for i, j, _ in net.branches]
+    edges.append(net.source)
+    reached = {0}
+    size = 0
+    # Passes over the edges until one reaches no new node, or every node is reached.
+    while size < len(reached) < net.node_count:
+        size = len(reached)
+        for i, j in edges:
+            if (i in reached) != (j in reached):
+                reached.add(i)
+                reached.add(j)
+    return tuple(n for n in range(net.node_count) if n not in reached)
 
 
 def solve_transfer(net: CapNetwork) -> TransferSolution:
@@ -232,13 +229,16 @@ def solve_transfer(net: CapNetwork) -> TransferSolution:
         solution = np.linalg.solve(a, rhs)[..., 0].T
     except np.linalg.LinAlgError as exc:
         raise SingularNetworkError(f"nodal system is singular: {exc}") from exc
-    if not holds(np.isfinite(solution).all(axis=0)):
-        raise SingularNetworkError("nodal system is numerically singular")
-
-    potentials = [0.0, *solution[:m]]
     op, om = net.output
-    ratio = potentials[op] - potentials[om]
     if batch:
+        if not holds(np.isfinite(solution).all(axis=0)):
+            raise SingularNetworkError("nodal system is numerically singular")
+        potentials = [0.0, *solution[:m]]
         rows = np.stack(np.broadcast_arrays(*potentials), axis=-1)
-        return TransferSolution(ratio=ratio, node_potentials=rows)
-    return TransferSolution(ratio=float(ratio), node_potentials=tuple(map(float, potentials)))
+        return TransferSolution(ratio=potentials[op] - potentials[om], node_potentials=rows)
+    # One system: the same doubles as Python floats, without numpy scalars.
+    values = solution.tolist()
+    if not all(map(math.isfinite, values)):
+        raise SingularNetworkError("nodal system is numerically singular")
+    potentials = (0.0, *values[:m])
+    return TransferSolution(ratio=potentials[op] - potentials[om], node_potentials=potentials)

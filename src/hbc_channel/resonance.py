@@ -16,7 +16,10 @@ is held here as well, with piecewise-linear lookup.
 
 from __future__ import annotations
 
+import functools
+import io
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -295,30 +298,51 @@ class DielectricTable:
                 "(thinner dielectric means larger body capacitance)"
             )
 
+    @functools.cached_property
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The thickness and capacitance columns as read-only arrays, made once."""
+        thicknesses, capacitances = (np.array(column) for column in zip(*self.rows))
+        thicknesses.flags.writeable = capacitances.flags.writeable = False
+        return thicknesses, capacitances
+
     @classmethod
     def from_csv(cls, path: str | Path) -> "DielectricTable":
-        """Load a two-column `thickness_m,c_b_farads` CSV file."""
-        path = Path(path)
-        lines = [
-            line.strip()
-            for line in path.read_text().splitlines()
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
-        if not lines or lines[0].replace(" ", "") != "thickness_m,c_b_farads":
-            raise ValueError(
-                f"{path}: expected header 'thickness_m,c_b_farads', "
-                f"got {lines[0] if lines else '<empty file>'!r}"
-            )
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two comma-separated columns")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        return cls(tuple(rows))
+        """Load a two-column `thickness_m,c_b_farads` CSV file.
+
+        The file is read on every call; the table parsed from it is cached on
+        the path and the bytes read, so an edited file gives a new table on the
+        next call.
+        """
+        with open(path, "rb", buffering=0) as file:
+            data = file.read()
+        return _parse_table(cls, os.fspath(path), data)
+
+
+# A few tables of a few rows each; a parse that raises is not cached.
+@functools.lru_cache(maxsize=8)
+def _parse_table(cls: type[DielectricTable], name: str, data: bytes) -> DielectricTable:
+    """The table of the CSV file ``name`` that held ``data``."""
+    text = io.TextIOWrapper(io.BytesIO(data)).read()  # decoded as open(name).read() does
+    lines = [
+        line.strip()
+        for line in text.splitlines()
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+    if not lines or lines[0].replace(" ", "") != "thickness_m,c_b_farads":
+        raise ValueError(
+            f"{Path(name)}: expected header 'thickness_m,c_b_farads', "
+            f"got {lines[0] if lines else '<empty file>'!r}"
+        )
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{Path(name)}:{lineno}: expected two comma-separated columns")
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except ValueError as exc:
+            raise ValueError(f"{Path(name)}:{lineno}: {exc}") from exc
+    return cls(tuple(rows))
 
 
 def body_capacitance_lookup(thickness: float, table: DielectricTable) -> float:
@@ -334,7 +358,5 @@ def body_capacitance_lookup(thickness: float, table: DielectricTable) -> float:
             f"thickness {shown(thickness, '.6g')} m outside table range "
             f"[{low:.6g}, {high:.6g}] m; extrapolation is not supported"
         )
-    thicknesses = [r[0] for r in table.rows]
-    capacitances = [r[1] for r in table.rows]
-    c_b = np.interp(thickness, thicknesses, capacitances)
+    c_b = np.interp(thickness, *table.columns)
     return c_b if isinstance(thickness, np.ndarray) else float(c_b)

@@ -92,7 +92,10 @@ class ChannelScenario:
     provenance: GeometricProvenance | None = None
 
     def __post_init__(self) -> None:
-        require_positive(**{n: getattr(self, n) for n in CAPACITANCE_NAMES if n != "c_c"})
+        require_positive(
+            c_x_tx=self.c_x_tx, c_x_rx=self.c_x_rx, c_gb_rx=self.c_gb_rx, c_l=self.c_l,
+            c_b=self.c_b,
+        )
         require_nonnegative(c_c=self.c_c)
 
     def has_full_geometry(self) -> bool:
@@ -250,21 +253,32 @@ def geometric_transfer(
         )
     require_nonnegative(c_f=c_f)
     require_positive(c_l=c_l, c_b=c_b)
-
-    a = tx.radius_a
     c_c = 0.0
     if d is not None or k is not None:
         if d is None or k is None:
             raise ValueError("coupled geometric form requires d and k")
-        if not d > 0:
-            raise ValueError(f"device separation d must be positive, got {d}")
-        require_positive(k=k)
-        c_c = k * math.pi * a**2 / d
+        c_c = _near_field_coupling(tx, d, k)
+    return _geometric_ratio(tx, rx, x_tx, x_rx, c_f, c_l, c_b, c_c)
 
+
+def _near_field_coupling(tx: DeviceGeometry, d: float, k: float) -> float:
+    """The coupling ``k*pi*a^2/d`` of :func:`geometric_transfer`'s coupled form."""
+    if not d > 0:
+        raise ValueError(f"device separation d must be positive, got {d}")
+    require_positive(k=k)
+    return k * math.pi * tx.radius_a**2 / d
+
+
+def _geometric_ratio(
+    tx: DeviceGeometry, rx: DeviceGeometry, x_tx: float, x_rx: float, c_f: float,
+    c_l: float, c_b: float, c_c: float,
+) -> float:
+    """:func:`geometric_transfer` with coupling ``c_c``, on radii, ``c_f``, ``c_l``
+    and ``c_b`` already checked (the shadowing fractions are checked here)."""
     x_tx_cap = return_path_capacitance(tx, x_tx)
     x_rx_cap = return_path_capacitance(rx, x_rx)
     numerator = c_c + _checked_ratio(x_tx_cap * x_rx_cap, c_b, "geometric_transfer")
-    denominator = c_c + (EPSILON_0 * math.pi * a**2 / rx.thickness_t + c_f + c_l)
+    denominator = c_c + (EPSILON_0 * math.pi * tx.radius_a**2 / rx.thickness_t + c_f + c_l)
     return _checked_ratio(numerator, denominator, "geometric_transfer")
 
 
@@ -282,7 +296,10 @@ def ratio_to_db(r: float) -> float:
 
 def relative_error(a: float, b: float) -> float:
     """Symmetric relative disagreement |a - b| / max(|a|, |b|), 0 where both are 0."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+    # Two floats, the case of every scenario, skip the column tests.
+    if (a.__class__ is not float or b.__class__ is not float) and (
+        isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+    ):
         scale = np.maximum(abs(a), abs(b))
         return np.divide(abs(a - b), scale, out=np.zeros(scale.shape), where=scale != 0.0)
     scale = max(abs(a), abs(b))
@@ -365,10 +382,14 @@ def compare_closed_forms(
     }
     p = s.provenance
     if s.has_full_geometry() and _same_radius(p.tx_geom, p.rx_geom):
+        # The scenario has checked c_l and c_b; c_f is the provenance's own.
+        require_nonnegative(c_f=p.c_f)
         inputs = (p.tx_geom, p.rx_geom, p.x_tx, p.x_rx, p.c_f, s.c_l, s.c_b)
-        ratios["geometric_distant"] = geometric_transfer(*inputs)
+        ratios["geometric_distant"] = _geometric_ratio(*inputs, 0.0)
         if p.d is not None and p.k is not None:
-            ratios["geometric_full"] = geometric_transfer(*inputs, d=p.d, k=p.k)
+            ratios["geometric_full"] = _geometric_ratio(
+                *inputs, _near_field_coupling(p.tx_geom, p.d, p.k)
+            )
 
     ratios["oracle"] = oracle_ratio(s)
 

@@ -138,6 +138,10 @@ class TestEval:
             ("default_direct.cfg", "[tx]\nreturn_path_f = 0.5e-12",
              "[tx]\nreturn_path_f = 1e-12 %(x)s",
              "[tx] return_path_f: not a number: '1e-12 %(x)s'"),
+            # [DEFAULT] is a section like any other, not one merged into the rest.
+            ("default_direct.cfg", "[tx]", "[DEFAULT]\nc_b_f = 1e-10\n\n[tx]",
+             "unknown section [DEFAULT]"),
+            (None, None, "[DEFAULT]\nload_f = 1e-11\n", "unknown section [DEFAULT]"),
         ],
         ids=[
             "decouple-nan", "decouple-negative", "separation-inf", "frequency-nan",
@@ -145,10 +149,16 @@ class TestEval:
             "zero-ground-body", "negative-return-path", "negative-k", "zero-k",
             "zero-segment-length", "negative-fringe", "return-path-flushes-to-zero",
             "ground-body-flushes-to-zero", "percent-in-table-name", "percent-interpolation",
+            "default-section-above-tx", "default-section-alone",
         ],
     )
     def test_bad_value_exits_1_naming_key(self, tmp_path, name, old, new, key):
-        proc = run_cli("eval", str(edited_config(tmp_path, name, old, new)))
+        if name is None:  # the config is ``new`` alone
+            config = tmp_path / "only.cfg"
+            config.write_text(new)
+        else:
+            config = edited_config(tmp_path, name, old, new)
+        proc = run_cli("eval", str(config))
         assert proc.returncode == 1
         assert key in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -13,6 +13,7 @@ from hbc_channel import (
     solve_transfer,
     well_posedness_check,
 )
+from hbc_channel.transfer import oracle_ratio
 
 DEFAULT_CAPS = dict(
     c_x_tx=0.5e-12, c_x_rx=0.5e-12, c_gb_rx=3e-12, c_l=10e-12, c_b=150.838e-12
@@ -230,3 +231,57 @@ class TestClosedFormVsNodalStructure:
             assert closed == pytest.approx(
                 (shared + cxr * cxt) / closed_den, rel=1e-12
             )
+
+
+class TestScalarSolveMatchesBatch:
+    """The one-scenario solve gives the doubles of a one-row batch, as floats."""
+
+    def test_random_scenarios_match_the_one_row_batch_bitwise(self):
+        rng = np.random.default_rng(20261019)
+        for draw in range(500):
+            caps = [float(10 ** rng.uniform(-15, -9)) for _ in range(6)]
+            if draw % 3 == 0:
+                caps[5] = 0.0  # no coupling branch in the scalar network
+            s = ChannelScenario(*caps)
+            column = ChannelScenario(*(np.array([c]) for c in caps))
+            assert oracle_ratio(s) == oracle_ratio(column).tolist()[0]
+            solved = solve_transfer(build_channel_network(s))
+            batch = solve_transfer(build_channel_network(column))
+            assert type(solved.ratio) is float
+            assert type(solved.node_potentials) is tuple
+            assert all(type(v) is float for v in solved.node_potentials)
+            assert list(solved.node_potentials) == batch.node_potentials[0].tolist()
+
+
+def floating_reference(net):
+    """Nodes that no path of branches and the source joins to node 0, by the
+    transitive closure of the adjacency matrix."""
+    n = net.node_count
+    joined = np.eye(n, dtype=bool)
+    for i, j in [(i, j) for i, j, _ in net.branches] + [net.source]:
+        joined[i, j] = joined[j, i] = True
+    for _ in range(n):
+        joined = (joined.astype(int) @ joined.astype(int)) > 0
+    return tuple(int(k) for k in np.flatnonzero(~joined[0]))
+
+
+class TestFloatingNodesOnRandomNetworks:
+    def test_floating_nodes_are_named_and_raised(self):
+        rng = np.random.default_rng(17)
+        floating_seen = 0
+        for _ in range(300):
+            n = int(rng.integers(3, 8))
+            branches = []
+            for _ in range(int(rng.integers(1, 2 * n))):
+                i, j = (int(v) for v in rng.choice(n, 2, replace=False))
+                branches.append((i, j, float(10 ** rng.uniform(-14, -10))))
+            source = tuple(int(v) for v in rng.choice(n, 2, replace=False))
+            net = CapNetwork(n, tuple(branches), source, (source[0], (source[0] + 1) % n))
+            expected = floating_reference(net)
+            assert well_posedness_check(net) == expected
+            if expected:
+                floating_seen += 1
+                with pytest.raises(SingularNetworkError) as excinfo:
+                    solve_transfer(net)
+                assert excinfo.value.floating_nodes == expected
+        assert floating_seen > 50

@@ -1,6 +1,7 @@
 """Tests for shadowing profiles and config-driven scenario assembly."""
 
 import math
+import os
 import re
 import warnings
 from dataclasses import replace
@@ -332,6 +333,36 @@ coupling_f = 0
         parsed = load_config_file(write_config(tmp_path, text))
         with pytest.raises(ConfigError, match="nowhere.csv"):
             build_scenario(parsed.scenario)
+
+
+class TestTableCache:
+    """Tables are cached on path and content: an edit is never missed."""
+
+    def table_config(self, tmp_path, config_dir):
+        table = tmp_path / "table.csv"
+        table.write_bytes((config_dir / "dielectric_cb.csv").read_bytes())
+        config = replace(DIRECT_CONFIG, c_b_f=None, dielectric_thickness_m=0.40,
+                         dielectric_table="table.csv", base_dir=tmp_path)
+        return table, config
+
+    def test_same_size_rewrite_in_one_timestamp_is_read(self, tmp_path, config_dir):
+        table, config = self.table_config(tmp_path, config_dir)
+        assert build_scenario(config).c_b == 150.838e-12
+        before = os.stat(table)
+        table.write_text(table.read_text().replace("0.40,1.50838e-10", "0.40,1.60838e-10"))
+        os.utime(table, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(table)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert build_scenario(config).c_b == 160.838e-12
+
+    def test_failed_parse_is_not_kept(self, tmp_path, config_dir):
+        table, config = self.table_config(tmp_path, config_dir)
+        good = table.read_text()
+        table.write_text(good.replace("thickness_m,c_b_farads", "thickness,c_b"))
+        with pytest.raises(ValueError, match="expected header"):
+            build_scenario(config)
+        table.write_text(good)
+        assert build_scenario(config).c_b == 150.838e-12
 
 
 class TestProgrammaticConfig:
