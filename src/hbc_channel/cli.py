@@ -202,7 +202,15 @@ def _cmd_resonance(args) -> int:
     except ValueError as exc:
         key = _RESONANCE_KEYS[str(exc).split()[0]]
         raise ConfigError(f"[resonance] {key}: {exc}") from exc
-    recovered, f_r, sweep = extract_body_capacitance(circuit, grid)
+    try:
+        recovered, f_r, sweep = extract_body_capacitance(circuit, grid)
+    except _NUMERICAL_ERRORS:
+        raise
+    except ValueError as exc:  # an overflow, or a peak above the frequency limit
+        raise ConfigError(
+            "[resonance] inductance_h, series_resistance_ohm and the capacitance, "
+            f"on the grid [resonance] f_min_hz, f_max_hz and points: {exc}"
+        ) from exc
     error = abs(recovered - circuit.capacitance_true) / circuit.capacitance_true
 
     if args.out:

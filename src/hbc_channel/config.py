@@ -188,8 +188,8 @@ def _parse_anchors(section: str, key: str, raw: str) -> tuple[tuple[float, float
 _PARSERS = {"str": lambda section, key, raw: raw, "int": _parse_int, "tuple": _parse_anchors}
 
 # [sweep] keys -> annotation, all required.  SweepSpec lives in sweep.py, which
-# imports this module, and `hbc eval` should not import sweep at all, so the
-# keys stay a literal here instead of being read off SweepSpec's fields.
+# imports this module, so reading its fields here would make an import cycle;
+# the keys stay a literal instead.
 _SWEEP_KEYS = {"kind": "str", "min": "float", "max": "float", "steps": "int"}
 # [sweep] keys whose SweepSpec field has another name.
 _FIELD_OF_KEY = {"min": "start", "max": "stop"}
@@ -279,41 +279,26 @@ def load_config_file(path: str | Path) -> ParsedConfig:
     return ParsedConfig(path, scenario, sweep=values.get("sweep"), resonance=resonance)
 
 
-def resolve_table_path(name: str, base_dir: Path | None) -> Path:
-    """Locate a dielectric table: absolute, config-relative, $HBC_TABLE_DIR, then as given."""
-    return Path(_find_table(name, base_dir))
-
-
 def _find_table(name: str, base_dir: Path | None) -> str:
-    """:func:`resolve_table_path` on strings: the path found, as a string."""
+    """Locate a dielectric table: absolute, config-relative, $HBC_TABLE_DIR, then as given.
+
+    Each candidate is the name joined to its directory as written, and named as joined."""
     if os.path.isabs(name):
-        found = _table_file(name)
-        if found is None:
-            raise ConfigError(f"dielectric table not found: {Path(name)}")
-        return found
+        if not os.path.isfile(name):
+            raise ConfigError(f"dielectric table not found: {name}")
+        return name
     tried = []
     # The empty directory joins to the name as given.
     for directory in (base_dir, os.environ.get(TABLE_DIR_ENV) or None, ""):
         if directory is not None:
-            found = _table_file(os.path.join(directory, name))
-            if found is not None:
-                return found
-            tried.append(str(Path(directory, name)))
+            path = os.path.join(directory, name)
+            if os.path.isfile(path):
+                return path
+            tried.append(path)
     raise ConfigError(
         f"dielectric table {name!r} not found (tried: {', '.join(tried)}; "
         f"set {TABLE_DIR_ENV} to the table directory)"
     )
-
-
-def _table_file(path: str) -> str | None:
-    """``path`` if it names a file, else its `Path` spelling if that does, else None.
-
-    `Path` drops a trailing "/" or "/." that makes the plain stat fail.
-    """
-    if os.path.isfile(path):
-        return path
-    spelled = str(Path(path))
-    return spelled if spelled != path and os.path.isfile(spelled) else None
 
 
 def load_dielectric_table(scenario: ScenarioConfig) -> DielectricTable:
@@ -515,10 +500,7 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
     if all(value is None for value in vars(provenance).values()):
         provenance = None
 
-    try:
-        return ChannelScenario(
-            c_x_tx=c_x_tx, c_x_rx=c_x_rx, c_gb_rx=c_gb_rx, c_l=c_l, c_b=c_b,
-            c_c=c_c, provenance=provenance,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ChannelScenario(
+        c_x_tx=c_x_tx, c_x_rx=c_x_rx, c_gb_rx=c_gb_rx, c_l=c_l, c_b=c_b,
+        c_c=c_c, provenance=provenance,
+    )

@@ -64,12 +64,10 @@ class CapNetwork:
                 raise ValueError(f"branch ({i}, {j}) references a node out of range")
             if i == j:
                 raise ValueError(f"branch ({i}, {j}) connects a node to itself")
-            if c.__class__ is float:  # the common case first
-                valid = 0.0 < c < math.inf
-            elif isinstance(c, np.ndarray):  # a batch branch may be absent (zero) on some rows
+            if isinstance(c, np.ndarray):  # a batch branch may be absent (zero) on some rows
                 valid = holds((c >= 0) & (c < math.inf))
             else:
-                valid = c > 0 and math.isfinite(c)
+                valid = 0.0 < c < math.inf
             if not valid:
                 raise ValueError(f"branch ({i}, {j}) capacitance must be positive, got {c}")
         sp, sm = self.source

@@ -21,7 +21,6 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -306,7 +305,7 @@ class DielectricTable:
         return thicknesses, capacitances
 
     @classmethod
-    def from_csv(cls, path: str | Path) -> "DielectricTable":
+    def from_csv(cls, path: str | os.PathLike) -> "DielectricTable":
         """Load a two-column `thickness_m,c_b_farads` CSV file.
 
         The file is read on every call; the table parsed from it is cached on
@@ -330,18 +329,18 @@ def _parse_table(cls: type[DielectricTable], name: str, data: bytes) -> Dielectr
     ]
     if not lines or lines[0].replace(" ", "") != "thickness_m,c_b_farads":
         raise ValueError(
-            f"{Path(name)}: expected header 'thickness_m,c_b_farads', "
+            f"{name}: expected header 'thickness_m,c_b_farads', "
             f"got {lines[0] if lines else '<empty file>'!r}"
         )
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 2:
-            raise ValueError(f"{Path(name)}:{lineno}: expected two comma-separated columns")
+            raise ValueError(f"{name}:{lineno}: expected two comma-separated columns")
         try:
             rows.append((float(parts[0]), float(parts[1])))
         except ValueError as exc:
-            raise ValueError(f"{Path(name)}:{lineno}: {exc}") from exc
+            raise ValueError(f"{name}:{lineno}: {exc}") from exc
     return cls(tuple(rows))
 
 

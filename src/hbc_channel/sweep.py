@@ -211,6 +211,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Raises:
         SweepStepError: For the lowest failing row, with that row's own
             error (ConfigError, solver error, ...) as its ``__cause__``.
+        MemoryError: When the columns cannot be allocated; no row is at fault.
     """
     values = np.linspace(spec.start, spec.stop, spec.steps)
     # Rows are independent, so a slice fails exactly when one of its rows
@@ -221,6 +222,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     with np.errstate(all="ignore"):
         try:
             return _evaluate(spec, values)
+        except MemoryError:
+            raise
         except Exception as exc:
             column_error = exc
         lo, hi = 0, len(values)

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR, REPO_ROOT
@@ -162,6 +163,32 @@ class TestEval:
         assert proc.returncode == 1
         assert key in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "table, tried",
+        [
+            ("dielectric_cb.csv/", "./dielectric_cb.csv/, dielectric_cb.csv/"),
+            ("sub//nowhere.csv", "./sub//nowhere.csv, sub//nowhere.csv"),
+        ],
+        ids=["trailing-slash", "double-slash"],
+    )
+    def test_table_path_named_as_joined(self, tmp_path, monkeypatch, table, tried):
+        """A relative table name is joined to each directory as written: a
+        trailing "/" does not resolve, and no path is normalised."""
+        monkeypatch.delenv("HBC_TABLE_DIR", raising=False)
+        shutil.copy(CONFIG_DIR / "dielectric_cb.csv", tmp_path)
+        (tmp_path / "only.cfg").write_text(
+            (CONFIG_DIR / "default_direct.cfg").read_text().replace(
+                "c_b_f = 150.838e-12",
+                f"dielectric_thickness_m = 0.40\ndielectric_table = {table}",
+            )
+        )
+        proc = run_cli("eval", "only.cfg", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"hbc: config error: dielectric table {table!r} not found (tried: {tried}; "
+            "set HBC_TABLE_DIR to the table directory)\n"
+        )
 
     def test_position_outside_body_exits_1_naming_key(self, tmp_path):
         """A body coordinate outside [0, 1] is rejected without a profile too,
@@ -487,11 +514,15 @@ class TestResonance:
             ("150.838e-12", "inductance_h = 1e-3\ncapacitance_f = 0\n",
              "[resonance] capacitance_f"),
             ("-150e-12", "inductance_h = 1e-3\n", "[body] c_b_f"),
+            # Errors raised inside the extraction name the keys that feed it.
+            ("150e-12", "inductance_h = 1e300\n", "[resonance] inductance_h"),
+            ("150e-12", "inductance_h = 1e-3\nf_min_hz = 1e-300\n", "[resonance] f_min_hz"),
         ],
         ids=[
             "resistance-square-overflows", "capacitance-divides-by-zero",
             "negative-inductance", "two-points", "zero-resistance", "negative-f-min",
-            "zero-capacitance", "negative-body-capacitance",
+            "zero-capacitance", "negative-body-capacitance", "reactance-overflows-huge-l",
+            "reactance-overflows-tiny-f-min",
         ],
     )
     def test_unusable_circuit_exits_1(self, tmp_path, c_b_f, section, named):
@@ -566,6 +597,25 @@ class TestOutOfMemory:
         assert proc.returncode == 1
         assert proc.stderr.startswith("hbc: out of memory: ")
         assert proc.stderr.count("\n") == 1
+
+    def test_column_pass_out_of_memory_exits_1(self, tmp_path, monkeypatch, capsys):
+        """A sweep whose columns cannot be allocated is not bisected for a
+        failing row: the MemoryError itself reaches the CLI."""
+        from hbc_channel import sweep
+
+        evaluate = sweep._evaluate
+
+        def small_columns_only(spec, values):
+            if np.size(values) > 4:
+                raise MemoryError("cannot allocate the sweep columns")
+            return evaluate(spec, values)
+
+        monkeypatch.setattr(sweep, "_evaluate", small_columns_only)
+        code = cli.main(
+            ["sweep", str(CONFIG_DIR / "separation_sweep.cfg"), "--out", str(tmp_path / "o.csv")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("hbc: out of memory")
 
 
 class TestInProcess:

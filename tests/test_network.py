@@ -35,6 +35,25 @@ class TestCapNetworkValidation:
         with pytest.raises(ValueError, match="capacitance must be positive"):
             CapNetwork(3, ((1, 2, 0.0),), (1, 0), (2, 0))
 
+    @pytest.mark.parametrize("c", [1e-12, 1, np.float64(1e-12)], ids=repr)
+    def test_accepts_positive_finite_scalar(self, c):
+        CapNetwork(3, ((1, 2, c),), (1, 0), (2, 0))
+
+    @pytest.mark.parametrize(
+        "c", [kind(v) for kind in (float, np.float64) for v in (0, -1, "nan", "inf")], ids=repr
+    )
+    def test_rejects_scalar_outside_positive_finite(self, c):
+        with pytest.raises(ValueError, match="capacitance must be positive"):
+            CapNetwork(3, ((1, 2, c),), (1, 0), (2, 0))
+
+    def test_accepts_empty_batch_column(self):
+        CapNetwork(3, ((1, 2, np.empty(0)),), (1, 0), (2, 0))
+
+    @pytest.mark.parametrize("bad", [-1e-12, np.nan])
+    def test_rejects_batch_column_with_bad_row(self, bad):
+        with pytest.raises(ValueError, match="capacitance must be positive"):
+            CapNetwork(3, ((1, 2, np.array([1e-12, bad, 0.0])),), (1, 0), (2, 0))
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="itself"):
             CapNetwork(3, ((1, 1, 1e-12),), (1, 0), (2, 0))
