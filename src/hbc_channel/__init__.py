@@ -7,6 +7,8 @@ extracts body capacitance from synthetic resonance sweeps, and runs
 parameter sweeps through a CLI with CSV output.
 """
 
+import types
+
 from .config import (
     ConfigError,
     EqsRegimeWarning,
@@ -81,63 +83,10 @@ from .transfer import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryPeakError",
-    "CapNetwork",
-    "ChannelScenario",
-    "ConfigError",
-    "COUPLED_COUPLING_F",
-    "DECOUPLING_DISTANCE_M",
-    "DegenerateScenarioError",
-    "DeviceGeometry",
-    "DielectricTable",
-    "DISTANT_COUPLING_F",
-    "EPSILON_0",
-    "EQS_MAX_FREQUENCY_HZ",
-    "EqsRegimeWarning",
-    "FlatSweepError",
-    "FrequencySweep",
-    "GeometricProvenance",
-    "ParsedConfig",
-    "ResonanceCircuit",
-    "ScenarioConfig",
-    "ShadowingProfile",
-    "SideConfig",
-    "SingularNetworkError",
-    "SweepResult",
-    "SweepSpec",
-    "SweepStepError",
-    "TransferReport",
-    "TransferSolution",
-    "UnresolvedPeakError",
-    "body_capacitance_lookup",
-    "body_potential_ratio",
-    "build_channel_network",
-    "build_scenario",
-    "calibrate_coupling_constant",
-    "capacitance_from_resonance",
-    "compare_closed_forms",
-    "coupling_capacitance",
-    "default_frequency_grid",
-    "emit_csv",
-    "extract_body_capacitance",
-    "extract_return_path",
-    "find_resonant_frequency",
-    "full_transfer",
-    "geometric_transfer",
-    "ground_to_body_capacitance",
-    "lc_response",
-    "load_config_file",
-    "plate_to_plate_capacitance",
-    "ratio_to_db",
-    "read_sweep_csv",
-    "regime_flags",
-    "relative_error",
-    "return_path_capacitance",
-    "run_sweep",
-    "rx_transfer_distant",
-    "shadowing_factor",
-    "simplified_transfer",
-    "solve_transfer",
-    "well_posedness_check",
-]
+# The imports above are the one list of public names; the submodules they
+# bind as package attributes are not exported.
+__all__ = sorted(
+    (name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, types.ModuleType)),
+    key=str.lower,
+)

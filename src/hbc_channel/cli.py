@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .config import (
@@ -73,6 +74,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a positive, finite float (argparse names the flag)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="hbc",
@@ -102,9 +114,10 @@ def _build_parser() -> _Parser:
     p_res.add_argument("--out", help="write the frequency sweep as CSV")
 
     p_cal = sub.add_parser("calibrate-k", help="coupling constant from a reference point")
-    p_cal.add_argument("--cc", type=float, required=True, help="reference coupling capacitance, F")
-    p_cal.add_argument("--d", type=float, required=True, help="reference separation, m")
-    p_cal.add_argument("--area", type=float, required=True, help="device plate area, m^2")
+    positive = {"type": _positive_float, "required": True}
+    p_cal.add_argument("--cc", **positive, help="reference coupling capacitance, F")
+    p_cal.add_argument("--d", **positive, help="reference separation, m")
+    p_cal.add_argument("--area", **positive, help="device plate area, m^2")
 
     return parser
 
@@ -232,7 +245,10 @@ def _cmd_resonance(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    k = calibrate_coupling_constant(args.cc, args.d, args.area)
+    try:
+        k = calibrate_coupling_constant(args.cc, args.d, args.area)
+    except ValueError as exc:  # the quotient k overflows or underflows
+        raise ConfigError(f"--cc, --d and --area: {exc}") from exc
     print(f"k_f_per_m = {k:.12g}")
     return EXIT_OK
 

@@ -119,8 +119,8 @@ def build_channel_network(s: ChannelScenario) -> CapNetwork:
     directly across the ideal source and cannot affect the transfer.
 
     The scenario has checked every capacitance.  A scenario of columns gives
-    a batch, which always carries the C_c branch: its zero rows add exact
-    zeros to their matrices.
+    a batch; a ``c_c`` column always gives the C_c branch, whose zero rows add
+    exact zeros to their matrices.
     """
     branches = [
         (NODE_BODY, NODE_EARTH, s.c_b),

@@ -171,9 +171,16 @@ def lc_response(circuit: ResonanceCircuit, grid) -> FrequencySweep:
     # tests them all; a NaN fails the comparison.
     if not impedance_sq.max() < math.inf:
         _check_grid(freqs)
+        try:
+            advice = (
+                f"the circuit resonates at {circuit.resonant_frequency:.6g} Hz, which a "
+                "grid must bracket closely"
+            )
+        except ValueError:
+            advice = "the circuit has no finite resonant frequency for a grid to bracket"
         raise ValueError(
             "a reactance or its square overflows on the frequency grid "
-            f"[{freqs[0]:.6g}, {freqs[-1]:.6g}] Hz; narrow the grid"
+            f"[{freqs[0]:.6g}, {freqs[-1]:.6g}] Hz; {advice}"
         )
     freqs.flags.writeable = False
     magnitude.flags.writeable = False

@@ -23,8 +23,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, build_scenario
 from .transfer import (
-    CAPACITANCE_NAMES, ChannelScenario, full_transfer, oracle_ratio, ratio_to_db, regime_flags,
-    relative_error,
+    CAPACITANCE_NAMES, full_transfer, oracle_ratio, ratio_to_db, regime_flags, relative_error,
 )
 
 
@@ -185,9 +184,9 @@ def _evaluate(spec: SweepSpec, values) -> SweepResult:
     scenario = build_scenario(drive(spec.base, values))
     capacitances = {name: getattr(scenario, name) for name in CAPACITANCE_NAMES}
     if isinstance(values, np.ndarray):
-        # Quantities the swept value does not reach become constant columns.
+        # Quantities the swept value does not reach become constant CSV
+        # columns; the scenario keeps them as floats, which broadcast alike.
         capacitances = {n: np.broadcast_to(c, values.shape) for n, c in capacitances.items()}
-        scenario = ChannelScenario(**capacitances)
     ratio = full_transfer(scenario)
     oracle = oracle_error = None
     if spec.include_oracle:

@@ -515,7 +515,12 @@ class TestResonance:
              "[resonance] capacitance_f"),
             ("-150e-12", "inductance_h = 1e-3\n", "[body] c_b_f"),
             # Errors raised inside the extraction name the keys that feed it.
-            ("150e-12", "inductance_h = 1e300\n", "[resonance] inductance_h"),
+            # The circuit resonates far below the default grid: the error
+            # says where a grid must go.
+            ("150e-12", "inductance_h = 1e300\n", (
+                "[resonance] inductance_h",
+                "the circuit resonates at 1.29949e-146 Hz, which a grid must bracket closely",
+            )),
             ("150e-12", "inductance_h = 1e-3\nf_min_hz = 1e-300\n", "[resonance] f_min_hz"),
         ],
         ids=[
@@ -531,7 +536,8 @@ class TestResonance:
         proc = run_cli("resonance", str(config))
         assert proc.returncode == 1
         assert "config error" in proc.stderr
-        assert named in proc.stderr
+        for text in (named,) if isinstance(named, str) else named:
+            assert text in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
@@ -663,6 +669,28 @@ class TestCalibrateK:
     def test_nonpositive_input_exits_1(self):
         proc = run_cli("calibrate-k", "--cc", "-1e-15", "--d", "0.1", "--area", "30e-4")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--cc", "nan", "--d", "0.1", "--area", "30e-4"],
+             "argument --cc: must be positive and finite, got nan"),
+            (["--cc", "60e-15", "--d", "-1", "--area", "30e-4"],
+             "argument --d: must be positive and finite, got -1"),
+            (["--cc", "60e-15", "--d", "0.1", "--area", "inf"],
+             "argument --area: must be positive and finite, got inf"),
+            (["--cc", "1e-300", "--d", "1e-300", "--area", "1e300"],
+             "--cc, --d and --area: k must be positive, got 0.0"),
+        ],
+        ids=["nan-cc", "negative-d", "infinite-area", "underflowing-quotient"],
+    )
+    def test_bad_input_exits_1_naming_flags(self, argv, message):
+        """Each error names the flags the user typed, not library parameters."""
+        proc = run_cli("calibrate-k", *argv)
+        assert proc.returncode == 1
+        assert message in proc.stderr
+        assert "c_c_ref" not in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestEntryPoint:

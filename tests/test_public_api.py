@@ -1,5 +1,8 @@
 """The package's public names: what ``from hbc_channel import *`` exports."""
 
+import ast
+import inspect
+
 import hbc_channel
 
 # Public names deleted from the package; they must not come back by accident.
@@ -25,3 +28,17 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in hbc_channel.__all__
         assert not hasattr(hbc_channel, name)
+
+
+def test_exported_names_are_the_package_imports():
+    """``__all__`` is exactly what the relative ``from .x import ...``
+    statements bind, so an import from outside the package (say ``from
+    typing import TYPE_CHECKING``) cannot turn public unnoticed."""
+    tree = ast.parse(inspect.getsource(hbc_channel))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    }
+    assert set(hbc_channel.__all__) == imported

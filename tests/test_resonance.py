@@ -111,17 +111,38 @@ class TestLcResponse:
         assert grid.flags.writeable
 
     @pytest.mark.parametrize(
-        "circuit, grid",
+        "circuit, grid, advice",
         [
-            (ResonanceCircuit(1e-12, 1e4), np.geomspace(1e-300, 1e-3, 2000)),
-            (ResonanceCircuit(1e-3, 1e-300), [5e-324, 1.0, 2.0]),
+            (ResonanceCircuit(1e-12, 1e4), np.geomspace(1e-300, 1e-3, 2000),
+             "the circuit resonates at 1591.55 Hz, which a grid must bracket closely"),
+            (ResonanceCircuit(1e-3, 1e-300), [5e-324, 1.0, 2.0],
+             "the circuit resonates at 5.03292e+150 Hz, which a grid must bracket closely"),
+            (ResonanceCircuit(1e300, 150e-12), np.geomspace(1e-147, 1e-145, 2000),
+             "the circuit resonates at 1.29949e-146 Hz, which a grid must bracket closely"),
+            (ResonanceCircuit(5e-324, 5e-324), [1.0, 2.0, 3.0],
+             "the circuit has no finite resonant frequency for a grid to bracket"),
         ],
-        ids=["difference-square-overflows", "capacitive-reactance-overflows"],
+        ids=[
+            "difference-square-overflows", "capacitive-reactance-overflows",
+            "huge-inductance", "no-finite-resonance",
+        ],
     )
-    def test_overflowing_reactance_rejected(self, circuit, grid):
-        """An overflow is a ValueError, not a numpy warning and a magnitude of 0."""
-        with pytest.raises(ValueError, match="overflows on the frequency grid"):
+    def test_overflowing_reactance_rejected(self, circuit, grid, advice):
+        """An overflow is a ValueError, not a numpy warning and a magnitude
+        of 0, and it says where a grid must go."""
+        with pytest.raises(ValueError, match="overflows on the frequency grid") as info:
             lc_response(circuit, grid)
+        assert str(info.value).endswith(advice)
+
+    def test_grid_bracketing_a_far_resonance_extracts_c(self):
+        """With L = 1e300 H the huge-inductance grid above overflows, yet a
+        grid that brackets the 1.3e-146 Hz resonance closely recovers C."""
+        circuit = ResonanceCircuit(1e300, 150e-12)
+        recovered, f_r, _ = extract_body_capacitance(
+            circuit, np.geomspace(1.2e-146, 1.4e-146, 2000)
+        )
+        assert f_r == pytest.approx(circuit.resonant_frequency, rel=1e-4)
+        assert recovered == pytest.approx(150e-12, rel=1e-4)
 
     @pytest.mark.parametrize(
         "grid, message",
@@ -135,7 +156,7 @@ class TestLcResponse:
     )
     def test_invalid_grid_named_as_invalid(self, grid, message):
         """A grid point that makes a reactance infinite or NaN gets the
-        error FrequencySweep gives that grid, not "narrow the grid"."""
+        error FrequencySweep gives that grid, not the overflow error."""
         with pytest.raises(ValueError, match=message):
             lc_response(REFERENCE, grid)
         with pytest.raises(ValueError, match=message):
