@@ -15,6 +15,7 @@ from .config import (
     ParsedConfig,
     ScenarioConfig,
     SideConfig,
+    SweepSpec,
     build_scenario,
     load_config_file,
 )
@@ -58,7 +59,6 @@ from .resonance import (
 )
 from .sweep import (
     SweepResult,
-    SweepSpec,
     SweepStepError,
     emit_csv,
     read_sweep_csv,

@@ -27,6 +27,7 @@ import sys
 from .config import (
     ConfigError,
     ParsedConfig,
+    SweepSpec,
     body_capacitance,
     build_scenario,
     load_config_file,
@@ -41,7 +42,7 @@ from .resonance import (
     default_frequency_grid,
     extract_body_capacitance,
 )
-from .sweep import SweepSpec, SweepStepError, emit_csv, run_sweep
+from .sweep import SweepStepError, emit_csv, run_sweep
 from .transfer import CAPACITANCE_NAMES, DegenerateScenarioError, compare_closed_forms
 
 EXIT_OK = 0
@@ -195,26 +196,21 @@ def _resonance_capacitance(parsed: ParsedConfig) -> float:
     return body_capacitance(scenario)
 
 
-# The first word of a ResonanceCircuit or default_frequency_grid error, and
-# the [resonance] key(s) the error is about.
-_RESONANCE_KEYS = {
-    "inductance": "inductance_h", "capacitance_true": "capacitance_f",
-    "series_resistance": "series_resistance_ohm", "need": "f_min_hz, f_max_hz", "grid": "points",
-}
-
-
 def _cmd_resonance(args) -> int:
     parsed = load_config_file(args.config)
     if parsed.resonance is None:
         raise ConfigError(f"{parsed.path}: no [resonance] section")
     section = parsed.resonance
     c_b = _resonance_capacitance(parsed)
+    # Past the ranges of the section and of C_B, each call has one error left.
     try:
         circuit = ResonanceCircuit(section.inductance_h, c_b, section.series_resistance_ohm)
+    except ValueError as exc:  # a resistance with no finite positive square
+        raise ConfigError(f"[resonance] series_resistance_ohm: {exc}") from exc
+    try:
         grid = default_frequency_grid(section.f_min_hz, section.f_max_hz, section.points)
-    except ValueError as exc:
-        key = _RESONANCE_KEYS[str(exc).split()[0]]
-        raise ConfigError(f"[resonance] {key}: {exc}") from exc
+    except ValueError as exc:  # f_max_hz not above f_min_hz
+        raise ConfigError(f"[resonance] f_min_hz, f_max_hz: {exc}") from exc
     try:
         recovered, f_r, sweep = extract_body_capacitance(circuit, grid)
     except _NUMERICAL_ERRORS:

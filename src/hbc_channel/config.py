@@ -6,6 +6,9 @@ carry their SI unit as a suffix (``radius_m``, ``load_f``, ``k_f_per_m``).
 Every channel quantity may be given either directly as a capacitance or
 through the geometric inputs that generate it; when both are present they
 must agree to 1e-9 relative and the geometric derivation is the one stored.
+Each key is declared, with its range, on the field of the dataclass it
+fills: :class:`SideConfig`, :class:`ScenarioConfig`, :class:`SweepSpec` or
+:class:`ResonanceSection`.
 
 Example (geometric form)::
 
@@ -37,19 +40,22 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from .columns import fails, holds, shown
 from .constants import DECOUPLING_DISTANCE_M, DEFAULT_FREQUENCY_HZ, EQS_MAX_FREQUENCY_HZ
 from .geometry import (
+    MAX_RADIUS_M,
     DeviceGeometry,
     coupling_capacitance,
     ground_to_body_capacitance,
     plate_to_plate_capacitance,
     return_path_capacitance,
 )
-from .profiles import ShadowingProfile, shadowing_factor
+from .profiles import SEGMENT_NAMES, ShadowingProfile, shadowing_factor
 from .resonance import (
     DEFAULT_GRID_MAX_HZ,
     DEFAULT_GRID_MIN_HZ,
@@ -75,26 +81,45 @@ class EqsRegimeWarning(UserWarning):
     """Configured frequency lies above the electro-quasistatic band."""
 
 
-# Ranges as (text, zero allowed, upper bound), checked by `_pick`.  NaN lies
-# in none, and the largest float as the bound keeps inf out.
-_POSITIVE = ("positive", False, sys.float_info.max)
-_NONNEGATIVE = ("nonnegative", True, sys.float_info.max)
-_FRACTION = ("in (0, 1]", False, 1.0)
-_COORDINATE = ("in [0, 1]", True, 1.0)
+def _range(text: str, low: float, high: float = sys.float_info.max, low_in: bool = False):
+    """A range for `_pick`: its text, and its test of a value or column (NaN fails
+    it; the largest float as ``high`` keeps inf out)."""
+    return text, lambda v: ((v >= low) if low_in else (v > low)) & (v <= high)
 
 
-def _key(sections: str, limits: tuple[str, bool, float] | None = None, default=None):
-    """A field read from the key of its name in each of ``sections``, within ``limits``
-    (``None``: the type it builds checks it); with ``default=MISSING`` the key is required."""
-    return field(default=default, metadata={"sections": sections.split(), "limits": limits})
+def _one_of(names: tuple[str, ...]):
+    return f"one of {names}", lambda v: v in names
+
+
+_POSITIVE = _range("positive", 0.0)
+_NONNEGATIVE = _range("nonnegative", 0.0, low_in=True)
+_FRACTION = _range("in (0, 1]", 0.0, 1.0)
+_COORDINATE = _range("in [0, 1]", 0.0, 1.0, low_in=True)
+_RADIUS = _range(f"positive with a finite plate area pi*a^2 (at most {MAX_RADIUS_M:.6g} m)",
+                 0.0, MAX_RADIUS_M)
+
+
+def _key(sections: str, limits=None, default=None, key: str | None = None):
+    """A field read from the key ``key`` (default: its name) in each of ``sections``, within
+    ``limits`` (``None``: the type it builds checks it); ``default=MISSING`` makes it required."""
+    metadata = {"sections": sections.split(), "limits": limits, "key": key}
+    return field(default=default, metadata=metadata)
+
+
+def _check_ranges(section) -> None:
+    """`_pick` each field of the one-section object ``section`` that declares a range."""
+    for f in fields(section):
+        if f.metadata.get("limits") is not None:
+            name = f"[{f.metadata['sections'][0]}] {f.metadata['key'] or f.name}"
+            _pick(name, getattr(section, f.name), None, None)
 
 
 @dataclass(frozen=True)
 class SideConfig:
     """Raw per-device inputs; ``None`` means not configured."""
 
-    radius_m: float | None = _key("tx rx")
-    plate_separation_m: float | None = _key("tx rx")
+    radius_m: float | None = _key("tx rx", _RADIUS)
+    plate_separation_m: float | None = _key("tx rx", _POSITIVE)
     shadowing_x: float | None = _key("tx rx", _FRACTION)
     position_s: float | None = _key("tx rx", _COORDINATE)
     return_path_f: float | None = _key("tx rx", _POSITIVE)
@@ -106,14 +131,15 @@ class SideConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Raw scenario inputs, one level above :class:`ChannelScenario`."""
+    """Raw scenario inputs, one level above :class:`ChannelScenario`; construction
+    (``replace`` too) makes ``shadowing_profile``, :func:`build_scenario` checks the rest."""
 
     tx: SideConfig = SideConfig()
     rx: SideConfig = SideConfig()
     c_b_f: float | None = _key("body", _POSITIVE)
     dielectric_thickness_m: float | None = _key("body")
     dielectric_table: str | None = _key("body")
-    segment: str | None = _key("body")
+    segment: str | None = _key("body", _one_of(SEGMENT_NAMES))
     shadowing_anchors: tuple[tuple[float, float], ...] | None = _key("body")
     segment_length_m: float | None = _key("body", _POSITIVE)
     coupling_f: float | None = _key("link", _NONNEGATIVE)
@@ -122,32 +148,107 @@ class ScenarioConfig:
     decouple_m: float = _key("link", _POSITIVE, default=DECOUPLING_DISTANCE_M)
     frequency_hz: float = _key("channel", _POSITIVE, default=DEFAULT_FREQUENCY_HZ)
     base_dir: Path | None = None
+    shadowing_profile: ShadowingProfile | None = field(init=False, repr=False, compare=False)
 
-    def profile(self) -> ShadowingProfile | None:
-        if self.shadowing_anchors is None:
-            return None
-        try:
-            return ShadowingProfile(self.segment or "custom", self.shadowing_anchors)
+    def __post_init__(self) -> None:
+        segment = _pick("[body] segment", self.segment, None, None) or "custom"
+        anchors = self.shadowing_anchors
+        try:  # the segment is checked: the anchors are at fault
+            profile = None if anchors is None else ShadowingProfile(segment, anchors)
         except ValueError as exc:
-            key = "segment" if str(exc).startswith("unknown segment") else "shadowing_anchors"
-            raise ConfigError(f"[body] {key}: {exc}") from exc
+            raise ConfigError(f"[body] shadowing_anchors: {exc}") from exc
+        object.__setattr__(self, "shadowing_profile", profile)
+
+
+def _both_radii(config: ScenarioConfig, radius: float) -> ScenarioConfig:
+    return replace(
+        config, tx=replace(config.tx, radius_m=radius), rx=replace(config.rx, radius_m=radius)
+    )
+
+
+_RADIUS_PINS = (
+    "[tx] radius_m", "[rx] radius_m", "[tx] return_path_f", "[rx] return_path_f",
+    "[rx] ground_body_f",
+)
+
+# Sweep kind -> (CSV column of the swept value, the base config with the
+# swept value set, config keys that fix the swept value or a value derived
+# from it when set; "a + b" pins only when both keys are set).
+SWEEP_KINDS = {
+    "separation": ("separation_m", lambda c, d: replace(c, separation_m=d), (
+        "[link] separation_m", "[link] coupling_f", "[tx] position_s + [rx] position_s")),
+    "radius": ("radius_m", _both_radii, _RADIUS_PINS),
+    "device_area": ("area_m2", lambda c, a: _both_radii(c, np.sqrt(a / math.pi)), _RADIUS_PINS),
+    "tx_position": ("tx_position_s", lambda c, s: replace(c, tx=replace(c.tx, position_s=s)), (
+        "[tx] position_s", "[tx] shadowing_x", "[tx] return_path_f")),
+    "rx_position": ("rx_position_s", lambda c, s: replace(c, rx=replace(c.rx, position_s=s)), (
+        "[rx] position_s", "[rx] shadowing_x", "[rx] return_path_f")),
+    "dielectric_thickness": (
+        "dielectric_thickness_m", lambda c, t: replace(c, dielectric_thickness_m=t),
+        ("[body] c_b_f", "[body] dielectric_thickness_m")),
+}
+
+
+def _is_set(config: ScenarioConfig, pin: str) -> bool:
+    """Whether every ``[section] key`` of a pin holds a value in ``config``."""
+    for key in pin.split(" + "):
+        section, name = key[1:].split("] ")
+        holder = getattr(config, section) if section in ("tx", "rx") else config
+        if getattr(holder, name) is None:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """One-parameter sweep: kind, linear range, and the fixed base scenario."""
+
+    kind: str = _key("sweep", _one_of(tuple(sorted(SWEEP_KINDS))), MISSING)
+    start: float = _key("sweep", _NONNEGATIVE, MISSING, key="min")
+    stop: float = _key("sweep", _POSITIVE, MISSING, key="max")
+    steps: int = _key("sweep", _range("at least 2", 2, low_in=True), MISSING)
+    base: ScenarioConfig
+    include_oracle: bool = False
+
+    def __post_init__(self) -> None:
+        _check_ranges(self)
+        if not self.start < self.stop:
+            raise ConfigError(f"sweep needs min < max, got {self.start} >= {self.stop}")
+        if self.kind in ("tx_position", "rx_position"):
+            if not self.stop <= 1.0:
+                raise ConfigError("position sweeps must stay within [0, 1]")
+            if self.base.shadowing_profile is None:
+                raise ConfigError(
+                    "position sweeps need [body] shadowing_anchors (a shadowing profile)"
+                )
+        elif self.start <= 0:
+            raise ConfigError(f"{self.kind} sweep requires positive values, got min={self.start}")
+        _, _, pins = SWEEP_KINDS[self.kind]
+        conflicts = ", ".join(pin for pin in pins if _is_set(self.base, pin))
+        if conflicts:
+            raise ConfigError(
+                f"{self.kind} sweep conflicts with fixed config value(s): {conflicts}"
+            )
 
 
 @dataclass(frozen=True)
 class ResonanceSection:
-    inductance_h: float = _key("resonance", default=MISSING)
-    series_resistance_ohm: float = _key("resonance", default=DEFAULT_SERIES_RESISTANCE_OHM)
-    capacitance_f: float | None = _key("resonance")
-    f_min_hz: float = _key("resonance", default=DEFAULT_GRID_MIN_HZ)
-    f_max_hz: float = _key("resonance", default=DEFAULT_GRID_MAX_HZ)
-    points: int = _key("resonance", default=DEFAULT_GRID_POINTS)
+    inductance_h: float = _key("resonance", _POSITIVE, MISSING)
+    series_resistance_ohm: float = _key("resonance", _POSITIVE, DEFAULT_SERIES_RESISTANCE_OHM)
+    capacitance_f: float | None = _key("resonance", _POSITIVE)
+    f_min_hz: float = _key("resonance", _POSITIVE, DEFAULT_GRID_MIN_HZ)
+    f_max_hz: float = _key("resonance", _POSITIVE, DEFAULT_GRID_MAX_HZ)
+    points: int = _key("resonance", _range("at least 3", 3, low_in=True), DEFAULT_GRID_POINTS)
+
+    def __post_init__(self) -> None:
+        _check_ranges(self)
 
 
 @dataclass(frozen=True)
 class ParsedConfig:
     path: Path
     scenario: ScenarioConfig
-    sweep: dict[str, object] | None = None  # SweepSpec fields, unchecked
+    sweep: dict[str, object] | None = None  # SweepSpec fields, checked by SweepSpec
     resonance: ResonanceSection | None = None
 
 
@@ -187,25 +288,19 @@ def _parse_anchors(section: str, key: str, raw: str) -> tuple[tuple[float, float
 # Parser by the first word of a field's annotation; any other key is a float.
 _PARSERS = {"str": lambda section, key, raw: raw, "int": _parse_int, "tuple": _parse_anchors}
 
-# [sweep] keys -> annotation, all required.  SweepSpec lives in sweep.py, which
-# imports this module, so reading its fields here would make an import cycle;
-# the keys stay a literal instead.
-_SWEEP_KEYS = {"kind": "str", "min": "float", "max": "float", "steps": "int"}
-# [sweep] keys whose SweepSpec field has another name.
-_FIELD_OF_KEY = {"min": "start", "max": "stop"}
 
-
-def _schema() -> tuple[dict[str, dict[str, tuple]], dict[str, tuple[str, bool, float]]]:
-    """Section -> key -> (parser, required) and "[section] key" -> range, from `_key` fields."""
-    sections = {"sweep": {k: (_PARSERS.get(t, _parse_float), True) for k, t in _SWEEP_KEYS.items()}}
-    limits = {}
-    for cls in (SideConfig, ScenarioConfig, ResonanceSection):
+def _schema() -> tuple[dict[str, dict[str, tuple]], dict[str, tuple]]:
+    """Section -> key -> (parser, required, field) and "[section] key" -> range,
+    from `_key` fields."""
+    sections, limits = {}, {}
+    for cls in (SideConfig, ScenarioConfig, SweepSpec, ResonanceSection):
         for f in fields(cls):
             parser = _PARSERS.get(f.type.partition(" ")[0].partition("[")[0], _parse_float)
+            key = f.metadata.get("key") or f.name
             for section in f.metadata.get("sections", ()):
-                sections.setdefault(section, {})[f.name] = (parser, f.default is MISSING)
+                sections.setdefault(section, {})[key] = (parser, f.default is MISSING, f.name)
                 if f.metadata["limits"] is not None:
-                    limits[f"[{section}] {f.name}"] = f.metadata["limits"]
+                    limits[f"[{section}] {key}"] = f.metadata["limits"]
     return sections, limits
 
 
@@ -249,12 +344,11 @@ def load_config_file(path: str | Path) -> ParsedConfig:
                 f"{path}: unknown key(s) {sorted(unknown)} in [{section}] "
                 f"(allowed: {sorted(schema)})"
             )
-        for key, (_, required) in schema.items():
+        for key, (_, required, _) in schema.items():
             if required and key not in keys:
                 raise ConfigError(f"[{section}] missing required key {key!r}")
         values[section] = {
-            _FIELD_OF_KEY.get(key, key): schema[key][0](section, key, raw)
-            for key, raw in keys.items()
+            schema[key][2]: schema[key][0](section, key, raw) for key, raw in keys.items()
         }
 
     # [body], [link] and [channel] keys are ScenarioConfig fields.
@@ -314,7 +408,7 @@ def _pick(
 
     Direct and derived values alike must lie in the range that the field of
     the ``[section] key`` ``name`` declares (NaN lies in none); this is the
-    one range check of every scenario config value, and it names ``name``
+    one range check of every config value, and it names ``name``
     also for a derived value that flushed to zero.  A derived value is the
     one kept; a direct value given beside it must agree with it to
     ``CONSISTENCY_REL_TOL`` relative.  A direct value alone is kept as given.
@@ -329,12 +423,11 @@ def _pick(
         if missing is not None:
             raise ConfigError(missing)
         return None
-    text, zero_in, upper = _LIMITS[name]
+    text, within = _LIMITS[name]
     for value, source in ((direct, ""), (derived, " (derived)")):
-        if value is not None and not holds(
-            ((value >= 0) if zero_in else (value > 0)) & (value <= upper)
-        ):
-            raise ConfigError(f"{name}{source} must be {text}, got {shown(value, '')}")
+        if value is not None and not holds(within(value)):
+            got = repr(value) if isinstance(value, str) else shown(value, "")
+            raise ConfigError(f"{name}{source} must be {text}, got {got}")
     if derived is not None:
         if direct is not None and fails(relative_error(direct, derived) > CONSISTENCY_REL_TOL):
             raise ConfigError(
@@ -346,18 +439,12 @@ def _pick(
 
 
 def _device_geometry(side: SideConfig, name: str) -> DeviceGeometry | None:
-    if side.radius_m is None:
-        return None
-    if side.plate_separation_m is None:
-        raise ConfigError(
-            f"missing required parameter [{name}] plate_separation_m "
-            "(required alongside radius_m)"
-        )
-    try:
-        return DeviceGeometry(side.radius_m, side.plate_separation_m)
-    except ValueError as exc:
-        key = "radius_m" if str(exc).startswith("radius_a") else "plate_separation_m"
-        raise ConfigError(f"[{name}] {key}: {exc}") from exc
+    """The device of ``side``, if it has a radius; its plate separation is then required."""
+    radius = _pick(f"[{name}] radius_m", side.radius_m, None, None)
+    missing = None if radius is None else (
+        f"missing required parameter [{name}] plate_separation_m (required alongside radius_m)")
+    separation = _pick(f"[{name}] plate_separation_m", side.plate_separation_m, None, missing)
+    return None if radius is None else DeviceGeometry(radius, separation)
 
 
 def _shadowing(side: SideConfig, name: str, profile: ShadowingProfile | None) -> float | None:
@@ -427,7 +514,7 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
         ConfigError: Naming the missing or inconsistent field.
     """
     decouple_m = _pick("[link] decouple_m", config.decouple_m, None, None)
-    profile = config.profile()
+    profile = config.shadowing_profile
     tx_geom = _device_geometry(config.tx, "tx")
     rx_geom = _device_geometry(config.rx, "rx")
     x_tx = _shadowing(config.tx, "tx", profile)

@@ -147,6 +147,15 @@ _DEFAULT_GRID = default_frequency_grid()
 _DEFAULT_GRID.flags.writeable = False
 
 
+def _response(circuit: ResonanceCircuit, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|V_C/V_src| and |R + jwL + 1/(jwC)|^2 at ``freqs``; an overflow is a quiet inf."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w = 2.0 * math.pi * freqs
+        x_c = 1.0 / (w * circuit.capacitance_true)
+        impedance_sq = circuit.series_resistance**2 + (w * circuit.inductance - x_c) ** 2
+        return x_c / np.sqrt(impedance_sq), impedance_sq
+
+
 def lc_response(circuit: ResonanceCircuit, grid) -> FrequencySweep:
     """Magnitude response of the series R-L, shunt-C divider.
 
@@ -158,13 +167,7 @@ def lc_response(circuit: ResonanceCircuit, grid) -> FrequencySweep:
     freqs = np.array(grid, dtype=float)  # a copy: the caller keeps its grid
     if freqs.size == 0:
         raise ValueError("frequency grid is empty")
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        w = 2.0 * math.pi * freqs
-        x_c = 1.0 / (w * circuit.capacitance_true)
-        x_l = w * circuit.inductance
-        impedance_sq = circuit.series_resistance**2 + (x_l - x_c) ** 2
-        # An overflow here leaves an inf that FrequencySweep rejects.
-        magnitude = x_c / np.sqrt(impedance_sq)
+    magnitude, impedance_sq = _response(circuit, freqs)
     # Not finite when a reactance or the square of their difference
     # overflows, or at a zero or NaN grid point: an invalid grid gets the
     # error FrequencySweep gives it.  No point is negative, so the max alone
@@ -172,9 +175,12 @@ def lc_response(circuit: ResonanceCircuit, grid) -> FrequencySweep:
     if not impedance_sq.max() < math.inf:
         _check_grid(freqs)
         try:
-            advice = (
-                f"the circuit resonates at {circuit.resonant_frequency:.6g} Hz, which a "
-                "grid must bracket closely"
+            f_r = circuit.resonant_frequency
+            # No grid resolves the peak if the floats next to f_r overflow too.
+            near = _response(circuit, np.nextafter(f_r, [0.0, math.inf]))[1].max() < math.inf
+            advice = f"the circuit resonates at {f_r:.6g} Hz, " + (
+                "which a grid must bracket closely" if near
+                else "where its reactance overflows too: no grid can resolve the peak"
             )
         except ValueError:
             advice = "the circuit has no finite resonant frequency for a grid to bracket"

@@ -2,7 +2,9 @@
 
 A sweep varies exactly one scenario parameter over a linear range and
 records the derived capacitances, the transfer ratio, the loss in dB and the
-regime flags per row; the nodal oracle can be added per row on request.
+regime flags per row; the nodal oracle can be added per row on request.  The
+sweep itself, :class:`hbc_channel.config.SweepSpec`, is a config section and
+is declared with the other sections in :mod:`hbc_channel.config`.
 
 A sweep is evaluated as columns: the swept value is one numpy column, and
 one :func:`hbc_channel.config.build_scenario` call, one transfer and flag
@@ -15,58 +17,16 @@ byte-identical CSV.
 from __future__ import annotations
 
 import csv
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, build_scenario
+from .config import SWEEP_KINDS, SweepSpec, build_scenario
 from .transfer import (
     CAPACITANCE_NAMES, full_transfer, oracle_ratio, ratio_to_db, regime_flags, relative_error,
 )
 
-
-def _both_radii(config: ScenarioConfig, radius: float) -> ScenarioConfig:
-    return replace(
-        config, tx=replace(config.tx, radius_m=radius), rx=replace(config.rx, radius_m=radius)
-    )
-
-
-_RADIUS_PINS = (
-    "[tx] radius_m", "[rx] radius_m", "[tx] return_path_f", "[rx] return_path_f",
-    "[rx] ground_body_f",
-)
-
-# Sweep kind -> (CSV column of the swept value, the base config with the
-# swept value set, config keys that fix the swept value or a value derived
-# from it when set; "a + b" pins only when both keys are set).
-SWEEP_KINDS = {
-    "separation": (
-        "separation_m",
-        lambda c, d: replace(c, separation_m=d),
-        ("[link] separation_m", "[link] coupling_f", "[tx] position_s + [rx] position_s"),
-    ),
-    "radius": ("radius_m", _both_radii, _RADIUS_PINS),
-    "device_area": (
-        "area_m2", lambda c, area: _both_radii(c, np.sqrt(area / math.pi)), _RADIUS_PINS
-    ),
-    "tx_position": (
-        "tx_position_s",
-        lambda c, s: replace(c, tx=replace(c.tx, position_s=s)),
-        ("[tx] position_s", "[tx] shadowing_x", "[tx] return_path_f"),
-    ),
-    "rx_position": (
-        "rx_position_s",
-        lambda c, s: replace(c, rx=replace(c.rx, position_s=s)),
-        ("[rx] position_s", "[rx] shadowing_x", "[rx] return_path_f"),
-    ),
-    "dielectric_thickness": (
-        "dielectric_thickness_m",
-        lambda c, t: replace(c, dielectric_thickness_m=t),
-        ("[body] c_b_f", "[body] dielectric_thickness_m"),
-    ),
-}
 
 SWEPT_COLUMN = {kind: column for kind, (column, _, _) in SWEEP_KINDS.items()}
 
@@ -120,57 +80,6 @@ class SweepResult:
         if self.include_oracle:
             columns += [self.oracle_ratio, self.oracle_rel_error]
         return columns
-
-
-def _is_set(config: ScenarioConfig, pin: str) -> bool:
-    """Whether every ``[section] key`` of a pin holds a value in ``config``."""
-    for key in pin.split(" + "):
-        section, name = key[1:].split("] ")
-        holder = getattr(config, section) if section in ("tx", "rx") else config
-        if getattr(holder, name) is None:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-parameter sweep: kind, linear range, and the fixed base scenario."""
-
-    kind: str
-    start: float
-    stop: float
-    steps: int
-    base: ScenarioConfig
-    include_oracle: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in SWEEP_KINDS:
-            raise ConfigError(
-                f"unknown sweep kind {self.kind!r} (expected one of "
-                f"{sorted(SWEEP_KINDS)})"
-            )
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError("sweep range must be finite")
-        if not self.start < self.stop:
-            raise ConfigError(f"sweep needs min < max, got {self.start} >= {self.stop}")
-        if self.steps < 2:
-            raise ConfigError(f"sweep needs at least 2 steps, got {self.steps}")
-        if self.kind in ("tx_position", "rx_position"):
-            if not (0.0 <= self.start and self.stop <= 1.0):
-                raise ConfigError("position sweeps must stay within [0, 1]")
-            if self.base.profile() is None:
-                raise ConfigError(
-                    "position sweeps need [body] shadowing_anchors (a shadowing profile)"
-                )
-        elif self.start <= 0:
-            raise ConfigError(f"{self.kind} sweep requires positive values, got min={self.start}")
-        _, _, pins = SWEEP_KINDS[self.kind]
-        conflicts = [pin for pin in pins if _is_set(self.base, pin)]
-        if conflicts:
-            raise ConfigError(
-                f"{self.kind} sweep conflicts with fixed config value(s): "
-                + ", ".join(conflicts)
-            )
 
 
 def _evaluate(spec: SweepSpec, values) -> SweepResult:

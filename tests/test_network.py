@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_random_network, reference_channel_ratio
 from hbc_channel import (
@@ -270,6 +272,35 @@ class TestScalarSolveMatchesBatch:
             assert type(solved.node_potentials) is tuple
             assert all(type(v) is float for v in solved.node_potentials)
             assert list(solved.node_potentials) == batch.node_potentials[0].tolist()
+
+
+# Every value a checked scenario accepts: subnormals up to the largest float.
+POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+COUPLING = st.one_of(st.just(0.0), POSITIVE)
+
+
+class TestChannelNetworkIsWellPosed:
+    """A checked scenario gives C_B, C_x-Tx and C_x-Rx positive, so each node
+    of its network has a branch to earth and none can float, whatever the
+    magnitudes and with or without the C_c branch."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(caps=st.tuples(*[POSITIVE] * 5, COUPLING))
+    @example(caps=(5e-324,) * 5 + (0.0,))
+    @example(caps=(1.7976931348623157e308,) * 5 + (5e-324,))
+    def test_scalar_scenario(self, caps):
+        net = build_channel_network(ChannelScenario(*caps))
+        assert len(net.branches) == (6 if caps[5] > 0 else 5)
+        assert well_posedness_check(net) == ()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(st.tuples(*[POSITIVE] * 5, COUPLING), min_size=1, max_size=8))
+    @example(rows=[(1e-12,) * 5 + (0.0,), (1e-12,) * 5 + (1e-13,)])
+    def test_scenario_of_columns(self, rows):
+        """A c_c column always gives the C_c branch, zero rows included."""
+        net = build_channel_network(ChannelScenario(*map(np.array, zip(*rows))))
+        assert len(net.branches) == 6
+        assert well_posedness_check(net) == ()
 
 
 def floating_reference(net):

@@ -121,15 +121,18 @@ class TestLcResponse:
              "the circuit resonates at 1.29949e-146 Hz, which a grid must bracket closely"),
             (ResonanceCircuit(5e-324, 5e-324), [1.0, 2.0, 3.0],
              "the circuit has no finite resonant frequency for a grid to bracket"),
+            (ResonanceCircuit(1e300, 5e-324), [1e10],
+             "the circuit resonates at 7.16024e+10 Hz, where its reactance overflows too: "
+             "no grid can resolve the peak"),
         ],
         ids=[
             "difference-square-overflows", "capacitive-reactance-overflows",
-            "huge-inductance", "no-finite-resonance",
+            "huge-inductance", "no-finite-resonance", "reactance-overflows-at-resonance",
         ],
     )
     def test_overflowing_reactance_rejected(self, circuit, grid, advice):
         """An overflow is a ValueError, not a numpy warning and a magnitude
-        of 0, and it says where a grid must go."""
+        of 0, and it says where a grid must go, or that none can help."""
         with pytest.raises(ValueError, match="overflows on the frequency grid") as info:
             lc_response(circuit, grid)
         assert str(info.value).endswith(advice)

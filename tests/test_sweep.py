@@ -183,7 +183,7 @@ class TestDielectricSweep:
 class TestSweepSpecValidation:
     def test_unknown_kind(self, config_dir):
         base = load_config_file(config_dir / "separation_sweep.cfg").scenario
-        with pytest.raises(ConfigError, match="unknown sweep kind"):
+        with pytest.raises(ConfigError, match=r"\[sweep\] kind must be one of .*got 'voltage'"):
             SweepSpec(kind="voltage", start=0.1, stop=1.0, steps=5, base=base)
 
     def test_min_not_below_max(self, config_dir):
@@ -193,7 +193,7 @@ class TestSweepSpecValidation:
 
     def test_too_few_steps(self, config_dir):
         base = load_config_file(config_dir / "separation_sweep.cfg").scenario
-        with pytest.raises(ConfigError, match="at least 2 steps"):
+        with pytest.raises(ConfigError, match=r"\[sweep\] steps must be at least 2, got 1"):
             SweepSpec(kind="separation", start=0.1, stop=1.0, steps=1, base=base)
 
     def test_swept_parameter_must_not_be_fixed(self, config_dir):
