@@ -9,7 +9,7 @@ return-path capacitance.  Values between anchors are linearly interpolated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,10 +26,12 @@ class ShadowingProfile:
         segment: Segment name ("arm", "torso" or "custom").
         anchors: (s, x) pairs with strictly ascending s in [0, 1] and
             x in (0, 1].
+        columns: The anchors' s and x columns as read-only arrays, made once.
     """
 
     segment: str
     anchors: tuple[tuple[float, float], ...]
+    columns: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.segment not in SEGMENT_NAMES:
@@ -46,6 +48,10 @@ class ShadowingProfile:
         coords = [a[0] for a in self.anchors]
         if any(b <= a for a, b in zip(coords, coords[1:])):
             raise ValueError("anchor coordinates must be strictly ascending")
+        columns = (np.array(coords, dtype=float), np.array([a[1] for a in self.anchors], dtype=float))
+        for column in columns:
+            column.setflags(write=False)
+        object.__setattr__(self, "columns", columns)
 
 
 def shadowing_factor(s: float, profile: ShadowingProfile) -> float:
@@ -65,7 +71,5 @@ def shadowing_factor(s: float, profile: ShadowingProfile) -> float:
             f"body coordinate {shown(s, '.6g')} outside profile anchor range "
             f"[{low:.6g}, {high:.6g}]"
         )
-    coords = [a[0] for a in profile.anchors]
-    values = [a[1] for a in profile.anchors]
-    x = np.interp(s, coords, values)
+    x = np.interp(s, *profile.columns)
     return x if isinstance(s, np.ndarray) else float(x)

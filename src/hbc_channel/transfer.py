@@ -38,9 +38,11 @@ from .constants import (
     DEFAULT_FREQUENCY_HZ,
     DEGENERATE_DENOMINATOR,
     DISTANT_COUPLING_F,
-    EPSILON_0,
 )
-from .geometry import DeviceGeometry, return_path_capacitance
+from .geometry import (
+    DeviceGeometry, ground_to_body_capacitance, plate_to_plate_capacitance,
+    return_path_capacitance,
+)
 from .network import build_channel_network, solve_transfer
 
 
@@ -97,13 +99,6 @@ class ChannelScenario:
             c_b=self.c_b,
         )
         require_nonnegative(c_c=self.c_c)
-
-    def has_full_geometry(self) -> bool:
-        """True when the provenance is complete enough for the geometric forms."""
-        p = self.provenance
-        return p is not None and None not in (
-            p.tx_geom, p.rx_geom, p.x_tx, p.x_rx, p.c_f,
-        )
 
 
 # The six capacitance fields of a scenario, in the order of the sweep CSV columns.
@@ -219,17 +214,17 @@ def geometric_transfer(
     d: float | None = None,
     k: float | None = None,
 ) -> float:
-    """Transfer ratio written directly in device geometry.
+    """:func:`simplified_transfer` of the law-derived scenario; coupling spelled k*pi*a^2/d.
 
-    For same-radius devices::
+    For same-radius devices, with the laws of :mod:`hbc_channel.geometry`::
 
         coupled:  [k*pi*a^2/d + x_tx*x_rx*(8*eps0*a)^2 / C_B]
                   / [k*pi*a^2/d + eps0*pi*a^2/t + C_F + C_L]
         distant:  drop both k*pi*a^2/d terms
 
     The form is coupled exactly when both ``d`` and ``k`` are given.
-    Composing the capacitance laws and calling :func:`simplified_transfer`
-    yields identical values to better than 1e-12 relative.
+    :func:`~hbc_channel.geometry.coupling_capacitance` rounds its k*(pi*a^2)/d
+    differently, so the coupled form matches the fully composed laws to 1e-12.
 
     Args:
         tx: Transmitter geometry.
@@ -245,41 +240,37 @@ def geometric_transfer(
 
     Raises:
         ValueError: If radii differ, inputs are invalid (d not positive or
-            NaN, k not positive and finite), or only one of d and k is given.
+            NaN, k not positive and finite), only one of d and k is given, or
+            a law's capacitance is out of range (C_PP flushed to 0, c_f = 0).
+        DegenerateScenarioError: If a ratio underflows to 0.
     """
     if not _same_radius(tx, rx):
         raise ValueError(
             f"geometric form assumes equal radii, got tx={tx.radius_a} rx={rx.radius_a}"
         )
     require_nonnegative(c_f=c_f)
-    require_positive(c_l=c_l, c_b=c_b)
-    c_c = 0.0
-    if d is not None or k is not None:
-        if d is None or k is None:
-            raise ValueError("coupled geometric form requires d and k")
-        c_c = _near_field_coupling(tx, d, k)
-    return _geometric_ratio(tx, rx, x_tx, x_rx, c_f, c_l, c_b, c_c)
+    if (d is None) != (k is None):
+        raise ValueError("coupled geometric form requires d and k")
+    return simplified_transfer(_geometric_scenario(tx, rx, x_tx, x_rx, c_f, c_l, c_b, d, k))
 
 
-def _near_field_coupling(tx: DeviceGeometry, d: float, k: float) -> float:
-    """The coupling ``k*pi*a^2/d`` of :func:`geometric_transfer`'s coupled form."""
-    if not d > 0:
-        raise ValueError(f"device separation d must be positive, got {d}")
-    require_positive(k=k)
-    return k * math.pi * tx.radius_a**2 / d
-
-
-def _geometric_ratio(
+def _geometric_scenario(
     tx: DeviceGeometry, rx: DeviceGeometry, x_tx: float, x_rx: float, c_f: float,
-    c_l: float, c_b: float, c_c: float,
-) -> float:
-    """:func:`geometric_transfer` with coupling ``c_c``, on radii, ``c_f``, ``c_l``
-    and ``c_b`` already checked (the shadowing fractions are checked here)."""
-    x_tx_cap = return_path_capacitance(tx, x_tx)
-    x_rx_cap = return_path_capacitance(rx, x_rx)
-    numerator = c_c + _checked_ratio(x_tx_cap * x_rx_cap, c_b, "geometric_transfer")
-    denominator = c_c + (EPSILON_0 * math.pi * tx.radius_a**2 / rx.thickness_t + c_f + c_l)
-    return _checked_ratio(numerator, denominator, "geometric_transfer")
+    c_l: float, c_b: float, d: float | None, k: float | None,
+) -> ChannelScenario:
+    """The scenario of the geometric form, coupled when both ``d`` and ``k`` are given."""
+    c_c = 0.0
+    if d is not None and k is not None:
+        if not d > 0:
+            raise ValueError(f"device separation d must be positive, got {d}")
+        require_positive(k=k)
+        # Not coupling_capacitance: its k*(pi*a^2)/d rounds geometric_full off the golden.
+        c_c = k * math.pi * tx.radius_a**2 / d
+    return ChannelScenario(
+        c_x_tx=return_path_capacitance(tx, x_tx), c_x_rx=return_path_capacitance(rx, x_rx),
+        c_gb_rx=ground_to_body_capacitance(plate_to_plate_capacitance(rx), c_f),
+        c_l=c_l, c_b=c_b, c_c=c_c,
+    )
 
 
 def ratio_to_db(r: float) -> float:
@@ -362,17 +353,20 @@ def compare_closed_forms(
     """Evaluate every applicable closed form plus the nodal oracle.
 
     Geometric forms are included when the scenario carries full geometric
-    provenance of two devices of one radius; ``geometric_full`` also needs
-    its ``d`` and ``k``, which scenario assembly records only inside the
-    decoupling distance.  Pairwise relative errors cover each closed form
-    against the oracle and the closed forms against the full expression.
-    ``frequency`` is only echoed in the report: the capacitive channel does
-    not depend on it.
+    provenance of two devices of one radius, read off :func:`geometric_transfer`'s
+    scenario: ``geometric_distant`` is its :func:`rx_transfer_distant` (so
+    ``distant`` bit for bit where assembly derived the capacitances), and
+    ``geometric_full`` its :func:`simplified_transfer` where assembly recorded
+    ``d`` and ``k``, which it does only inside the decoupling distance.
+    Pairwise relative errors cover each closed form against the oracle and the
+    closed forms against the full expression.  ``frequency`` is only echoed in
+    the report: the capacitive channel does not depend on it.
 
     Raises:
         SingularNetworkError, DegenerateScenarioError: From the closed forms
             or the nodal solve.
-        ValueError: If frequency is not positive.
+        ValueError: If frequency is not positive, or the provenance gives
+            no valid geometric scenario.
     """
     require_positive(frequency=frequency)
     ratios: dict[str, float] = {
@@ -381,15 +375,14 @@ def compare_closed_forms(
         "full": full_transfer(s),
     }
     p = s.provenance
-    if s.has_full_geometry() and _same_radius(p.tx_geom, p.rx_geom):
-        # The scenario has checked c_l and c_b; c_f is the provenance's own.
-        require_nonnegative(c_f=p.c_f)
-        inputs = (p.tx_geom, p.rx_geom, p.x_tx, p.x_rx, p.c_f, s.c_l, s.c_b)
-        ratios["geometric_distant"] = _geometric_ratio(*inputs, 0.0)
+    geometric = p is not None and None not in (p.tx_geom, p.rx_geom, p.x_tx, p.x_rx, p.c_f)
+    if geometric and _same_radius(p.tx_geom, p.rx_geom):
+        g = _geometric_scenario(
+            p.tx_geom, p.rx_geom, p.x_tx, p.x_rx, p.c_f, s.c_l, s.c_b, p.d, p.k
+        )
+        ratios["geometric_distant"] = rx_transfer_distant(g)
         if p.d is not None and p.k is not None:
-            ratios["geometric_full"] = _geometric_ratio(
-                *inputs, _near_field_coupling(p.tx_geom, p.d, p.k)
-            )
+            ratios["geometric_full"] = simplified_transfer(g)
 
     ratios["oracle"] = oracle_ratio(s)
 

@@ -6,13 +6,18 @@ import re
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CONFIG_DIR
 from hbc_channel import (
     ConfigError,
     EqsRegimeWarning,
     ShadowingProfile,
     build_scenario,
+    compare_closed_forms,
     load_config_file,
     shadowing_factor,
     DeviceGeometry,
@@ -77,6 +82,24 @@ class TestShadowingProfile:
         with pytest.raises(ValueError, match=r"outside profile anchor range \[0, 1\]"):
             shadowing_factor(1.5, ARM)
 
+    def test_interpolates_on_columns_made_once(self, monkeypatch):
+        profile = ShadowingProfile("arm", ((0.0, 0.2), (0.35, 0.45), (1.0, 0.8)))
+        coords, values = [0.0, 0.35, 1.0], [0.2, 0.45, 0.8]
+        tables, interp = [], np.interp
+
+        def recording_interp(s, xp, fp):
+            tables.append((xp, fp))
+            return interp(s, xp, fp)
+
+        monkeypatch.setattr(np, "interp", recording_interp)
+        column = np.linspace(0.0, 1.0, 41)
+        assert shadowing_factor(0.3, profile) == interp(0.3, coords, values)
+        assert shadowing_factor(column, profile).tobytes() == interp(column, coords, values).tobytes()
+        # Both calls interpolated on the profile's one pair of read-only columns.
+        assert tables[0][0] is tables[1][0] is profile.columns[0]
+        assert tables[0][1] is tables[1][1] is profile.columns[1]
+        assert not profile.columns[0].flags.writeable and not profile.columns[1].flags.writeable
+
     def test_requires_two_anchors(self):
         with pytest.raises(ValueError, match="at least 2"):
             ShadowingProfile("arm", ((0.5, 0.5),))
@@ -134,15 +157,53 @@ class TestGeometricConfig:
         assert scenario.c_c == pytest.approx(56.5e-15, rel=1e-3)
         assert scenario.c_b == 150.838e-12
         assert scenario.c_gb_rx == pytest.approx(5.7569e-12, rel=1e-4)
-        assert scenario.has_full_geometry()
-        # The stored values are the geometry laws at the recorded provenance.
+        # Every geometric input is recorded, the near-field d and k included.
         p = scenario.provenance
+        assert None not in vars(p).values()
+        # The stored values are the geometry laws at the recorded provenance.
         assert scenario.c_x_tx == return_path_capacitance(p.tx_geom, p.x_tx)
         assert scenario.c_x_rx == return_path_capacitance(p.rx_geom, p.x_rx)
         assert scenario.c_gb_rx == ground_to_body_capacitance(
             plate_to_plate_capacitance(p.rx_geom), p.c_f
         )
         assert scenario.c_c == coupling_capacitance(p.tx_geom, p.d, p.k)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_geometric_distant_is_distant_bit_for_bit(self, data):
+        """Assembly and the geometric forms derive each capacitance by the same
+        law, so the geometric distant form is the distant form itself."""
+        draw, unit = data.draw, st.floats(0.05, 1.0)
+        radius = draw(st.floats(0.002, 0.2))
+        side = {
+            name: {"radius_m": radius, "plate_separation_m": draw(st.floats(5e-4, 0.02))}
+            for name in ("tx", "rx")
+        }
+        # Every separation lies inside the default 0.5 m decoupling distance.
+        other = {"k_f_per_m": draw(st.floats(1e-13, 1e-11))}
+        if draw(st.booleans()):
+            side["tx"]["shadowing_x"], side["rx"]["shadowing_x"] = draw(unit), draw(unit)
+            other["separation_m"] = draw(st.floats(0.005, 0.49))
+        else:
+            xs = draw(st.lists(unit, min_size=2, max_size=5))
+            other["shadowing_anchors"] = tuple((i / (len(xs) - 1), x) for i, x in enumerate(xs))
+            other["segment_length_m"] = draw(st.floats(0.05, 0.49))
+            s_tx = side["tx"]["position_s"] = draw(st.floats(0.0, 1.0))
+            side["rx"]["position_s"] = draw(st.floats(0.0, 1.0).filter(lambda s: abs(s - s_tx) > 1e-3))
+        if draw(st.booleans()):
+            other["dielectric_thickness_m"] = draw(st.floats(0.1, 0.6))
+            other["dielectric_table"] = str(CONFIG_DIR / "dielectric_cb.csv")
+        else:
+            other["c_b_f"] = draw(st.floats(20e-12, 500e-12))
+        config = ScenarioConfig(
+            tx=SideConfig(**side["tx"]),
+            rx=SideConfig(**side["rx"], fringe_f=draw(st.floats(0.0, 3e-12)),
+                          load_f=draw(st.floats(1e-12, 50e-12))),
+            **other,
+        )
+        ratios = compare_closed_forms(build_scenario(config)).ratios
+        assert "geometric_full" in ratios
+        assert ratios["geometric_distant"] == ratios["distant"]
 
     def test_consistent_direct_and_geometric_accepted(self, tmp_path):
         text = DIRECT_CFG.replace(
