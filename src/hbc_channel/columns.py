@@ -2,16 +2,18 @@
 
 Every function of the model accepts either floats (one scenario) or numpy
 columns (one row per sweep step, floats broadcast against them).  A check is
-a plain ``if`` either way.  On a column it fails when any row fails, and the
-error raised for the column as a whole says only that some row failed: its
-message formats values through :func:`shown`.  Rows are independent, so
-:func:`hbc_channel.sweep.run_sweep` finds the lowest failing row by halving
-and evaluates that row on its own, which raises that row's own error.
+a plain ``if`` either way, and a value range is checked by :func:`require`
+against one of the ranges declared here.  On a column a check fails when any
+row fails, and the error raised for the column as a whole says only that
+some row failed: its message formats values through :func:`shown`.  Rows are
+independent, so :func:`hbc_channel.sweep.run_sweep` finds the lowest failing
+row by halving and evaluates that row on its own, which raises that row's
+own error.
 """
 
 from __future__ import annotations
 
-import math
+from math import inf
 
 import numpy as np
 
@@ -35,27 +37,24 @@ def shown(value, spec: str) -> str:
     return "some row" if isinstance(value, np.ndarray) else format(value, spec)
 
 
-def require_positive(**values) -> None:
-    """Raise ``ValueError`` for the first value that is not positive and finite.
+# Value ranges, each a ``(text, test)`` pair for :func:`require`: ``test``
+# takes a value or a column and gives a bool or a bool column.  NaN and inf
+# fail all four.
+POSITIVE = "positive", lambda v: (v > 0.0) & (v < inf)
+NONNEGATIVE = "nonnegative", lambda v: (v >= 0.0) & (v < inf)
+FRACTION = "in (0, 1]", lambda v: (v > 0.0) & (v <= 1.0)
+COORDINATE = "in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)
 
-    A column must be so on every row.
+
+def require(limits, error=ValueError, /, **values) -> None:
+    """Raise ``error`` for the first of ``values`` outside the range ``limits``.
+
+    The message reads "<name> must be <range>, got <value>"; a column must
+    lie within on every row, and reads as "some row".
     """
+    text, test = limits
     for name, value in values.items():
-        if not (
-            0.0 < value < math.inf if value.__class__ is float
-            else holds((value > 0) & (value < math.inf))
-        ):
-            raise ValueError(f"{name} must be positive, got {shown(value, '')}")
-
-
-def require_nonnegative(**values) -> None:
-    """Raise ``ValueError`` for the first value that is negative or not finite.
-
-    A column must be so on every row.
-    """
-    for name, value in values.items():
-        if not (
-            0.0 <= value < math.inf if value.__class__ is float
-            else holds((value >= 0) & (value < math.inf))
-        ):
-            raise ValueError(f"{name} must be nonnegative, got {shown(value, '')}")
+        ok = test(value)
+        if ok is not True and not holds(ok):
+            got = repr(value) if value.__class__ is str else shown(value, "")
+            raise error(f"{name} must be {text}, got {got}")

@@ -8,7 +8,8 @@ through the geometric inputs that generate it; when both are present they
 must agree to 1e-9 relative and the geometric derivation is the one stored.
 Each key is declared, with its range, on the field of the dataclass it
 fills: :class:`SideConfig`, :class:`ScenarioConfig`, :class:`SweepSpec` or
-:class:`ResonanceSection`.
+:class:`ResonanceSection`.  Each of the last three checks its keys' ranges
+when it is made; a :class:`SideConfig` is checked by the scenario that holds it.
 
 Example (geometric form)::
 
@@ -38,17 +39,16 @@ from __future__ import annotations
 import configparser
 import math
 import os
-import sys
 import warnings
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .columns import fails, holds, shown
+from .columns import COORDINATE, FRACTION, NONNEGATIVE, POSITIVE, fails, require, shown
 from .constants import DECOUPLING_DISTANCE_M, DEFAULT_FREQUENCY_HZ, EQS_MAX_FREQUENCY_HZ
 from .geometry import (
-    MAX_RADIUS_M,
+    RADIUS,
     DeviceGeometry,
     coupling_capacitance,
     ground_to_body_capacitance,
@@ -81,22 +81,8 @@ class EqsRegimeWarning(UserWarning):
     """Configured frequency lies above the electro-quasistatic band."""
 
 
-def _range(text: str, low: float, high: float = sys.float_info.max, low_in: bool = False):
-    """A range for `_pick`: its text, and its test of a value or column (NaN fails
-    it; the largest float as ``high`` keeps inf out)."""
-    return text, lambda v: ((v >= low) if low_in else (v > low)) & (v <= high)
-
-
 def _one_of(names: tuple[str, ...]):
     return f"one of {names}", lambda v: v in names
-
-
-_POSITIVE = _range("positive", 0.0)
-_NONNEGATIVE = _range("nonnegative", 0.0, low_in=True)
-_FRACTION = _range("in (0, 1]", 0.0, 1.0)
-_COORDINATE = _range("in [0, 1]", 0.0, 1.0, low_in=True)
-_RADIUS = _range(f"positive with a finite plate area pi*a^2 (at most {MAX_RADIUS_M:.6g} m)",
-                 0.0, MAX_RADIUS_M)
 
 
 def _key(sections: str, limits=None, default=None, key: str | None = None):
@@ -107,52 +93,53 @@ def _key(sections: str, limits=None, default=None, key: str | None = None):
 
 
 def _check_ranges(section) -> None:
-    """`_pick` each field of the one-section object ``section`` that declares a range."""
-    for f in fields(section):
-        if f.metadata.get("limits") is not None:
-            name = f"[{f.metadata['sections'][0]}] {f.metadata['key'] or f.name}"
-            _pick(name, getattr(section, f.name), None, None)
+    """Check each ranged key that the config object ``section`` holds, its sides' included."""
+    for side, attr, name, limits in _RANGES[type(section)]:
+        value = getattr(getattr(section, side) if side else section, attr)
+        if value is not None:
+            require(limits, ConfigError, **{name: value})
 
 
 @dataclass(frozen=True)
 class SideConfig:
     """Raw per-device inputs; ``None`` means not configured."""
 
-    radius_m: float | None = _key("tx rx", _RADIUS)
-    plate_separation_m: float | None = _key("tx rx", _POSITIVE)
-    shadowing_x: float | None = _key("tx rx", _FRACTION)
-    position_s: float | None = _key("tx rx", _COORDINATE)
-    return_path_f: float | None = _key("tx rx", _POSITIVE)
+    radius_m: float | None = _key("tx rx", RADIUS)
+    plate_separation_m: float | None = _key("tx rx", POSITIVE)
+    shadowing_x: float | None = _key("tx rx", FRACTION)
+    position_s: float | None = _key("tx rx", COORDINATE)
+    return_path_f: float | None = _key("tx rx", POSITIVE)
     # Receiver-only inputs.
-    fringe_f: float | None = _key("rx", _NONNEGATIVE)
-    ground_body_f: float | None = _key("rx", _POSITIVE)
-    load_f: float | None = _key("rx", _POSITIVE)
+    fringe_f: float | None = _key("rx", NONNEGATIVE)
+    ground_body_f: float | None = _key("rx", POSITIVE)
+    load_f: float | None = _key("rx", POSITIVE)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Raw scenario inputs, one level above :class:`ChannelScenario`; construction
-    (``replace`` too) makes ``shadowing_profile``, :func:`build_scenario` checks the rest."""
+    (``replace`` too) checks the range of each key, the sides' included, and makes
+    ``shadowing_profile``; :func:`build_scenario` checks the rest."""
 
     tx: SideConfig = SideConfig()
     rx: SideConfig = SideConfig()
-    c_b_f: float | None = _key("body", _POSITIVE)
-    dielectric_thickness_m: float | None = _key("body")
+    c_b_f: float | None = _key("body", POSITIVE)
+    dielectric_thickness_m: float | None = _key("body", POSITIVE)
     dielectric_table: str | None = _key("body")
     segment: str | None = _key("body", _one_of(SEGMENT_NAMES))
     shadowing_anchors: tuple[tuple[float, float], ...] | None = _key("body")
-    segment_length_m: float | None = _key("body", _POSITIVE)
-    coupling_f: float | None = _key("link", _NONNEGATIVE)
-    k_f_per_m: float | None = _key("link", _POSITIVE)
-    separation_m: float | None = _key("link", _POSITIVE)
-    decouple_m: float = _key("link", _POSITIVE, default=DECOUPLING_DISTANCE_M)
-    frequency_hz: float = _key("channel", _POSITIVE, default=DEFAULT_FREQUENCY_HZ)
+    segment_length_m: float | None = _key("body", POSITIVE)
+    coupling_f: float | None = _key("link", NONNEGATIVE)
+    k_f_per_m: float | None = _key("link", POSITIVE)
+    separation_m: float | None = _key("link", POSITIVE)
+    decouple_m: float = _key("link", POSITIVE, default=DECOUPLING_DISTANCE_M)
+    frequency_hz: float = _key("channel", POSITIVE, default=DEFAULT_FREQUENCY_HZ)
     base_dir: Path | None = None
     shadowing_profile: ShadowingProfile | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        segment = _pick("[body] segment", self.segment, None, None) or "custom"
-        anchors = self.shadowing_anchors
+        _check_ranges(self)
+        segment, anchors = self.segment or "custom", self.shadowing_anchors
         try:  # the segment is checked: the anchors are at fault
             profile = None if anchors is None else ShadowingProfile(segment, anchors)
         except ValueError as exc:
@@ -201,12 +188,13 @@ def _is_set(config: ScenarioConfig, pin: str) -> bool:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-parameter sweep: kind, linear range, and the fixed base scenario."""
+    """One-parameter sweep: kind, linear range, and the fixed base scenario; both
+    ends of the range must lie in the range of the key they drive."""
 
     kind: str = _key("sweep", _one_of(tuple(sorted(SWEEP_KINDS))), MISSING)
-    start: float = _key("sweep", _NONNEGATIVE, MISSING, key="min")
-    stop: float = _key("sweep", _POSITIVE, MISSING, key="max")
-    steps: int = _key("sweep", _range("at least 2", 2, low_in=True), MISSING)
+    start: float = _key("sweep", NONNEGATIVE, MISSING, key="min")
+    stop: float = _key("sweep", POSITIVE, MISSING, key="max")
+    steps: int = _key("sweep", ("at least 2", lambda v: v >= 2), MISSING)
     base: ScenarioConfig
     include_oracle: bool = False
 
@@ -214,16 +202,15 @@ class SweepSpec:
         _check_ranges(self)
         if not self.start < self.stop:
             raise ConfigError(f"sweep needs min < max, got {self.start} >= {self.stop}")
-        if self.kind in ("tx_position", "rx_position"):
-            if not self.stop <= 1.0:
-                raise ConfigError("position sweeps must stay within [0, 1]")
-            if self.base.shadowing_profile is None:
-                raise ConfigError(
-                    "position sweeps need [body] shadowing_anchors (a shadowing profile)"
-                )
-        elif self.start <= 0:
-            raise ConfigError(f"{self.kind} sweep requires positive values, got min={self.start}")
-        _, _, pins = SWEEP_KINDS[self.kind]
+        _, drive, pins = SWEEP_KINDS[self.kind]
+        # Each range is an interval, so both ends within it put every row within it.
+        for key, value in (("min", self.start), ("max", self.stop)):
+            try:
+                drive(self.base, value)
+            except ConfigError as exc:
+                raise ConfigError(f"[sweep] {key}: {exc}") from exc
+        if self.kind in ("tx_position", "rx_position") and self.base.shadowing_profile is None:
+            raise ConfigError("position sweeps need [body] shadowing_anchors (a shadowing profile)")
         conflicts = ", ".join(pin for pin in pins if _is_set(self.base, pin))
         if conflicts:
             raise ConfigError(
@@ -233,12 +220,12 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ResonanceSection:
-    inductance_h: float = _key("resonance", _POSITIVE, MISSING)
-    series_resistance_ohm: float = _key("resonance", _POSITIVE, DEFAULT_SERIES_RESISTANCE_OHM)
-    capacitance_f: float | None = _key("resonance", _POSITIVE)
-    f_min_hz: float = _key("resonance", _POSITIVE, DEFAULT_GRID_MIN_HZ)
-    f_max_hz: float = _key("resonance", _POSITIVE, DEFAULT_GRID_MAX_HZ)
-    points: int = _key("resonance", _range("at least 3", 3, low_in=True), DEFAULT_GRID_POINTS)
+    inductance_h: float = _key("resonance", POSITIVE, MISSING)
+    series_resistance_ohm: float = _key("resonance", POSITIVE, DEFAULT_SERIES_RESISTANCE_OHM)
+    capacitance_f: float | None = _key("resonance", POSITIVE)
+    f_min_hz: float = _key("resonance", POSITIVE, DEFAULT_GRID_MIN_HZ)
+    f_max_hz: float = _key("resonance", POSITIVE, DEFAULT_GRID_MAX_HZ)
+    points: int = _key("resonance", ("at least 3", lambda v: v >= 3), DEFAULT_GRID_POINTS)
 
     def __post_init__(self) -> None:
         _check_ranges(self)
@@ -289,10 +276,11 @@ def _parse_anchors(section: str, key: str, raw: str) -> tuple[tuple[float, float
 _PARSERS = {"str": lambda section, key, raw: raw, "int": _parse_int, "tuple": _parse_anchors}
 
 
-def _schema() -> tuple[dict[str, dict[str, tuple]], dict[str, tuple]]:
-    """Section -> key -> (parser, required, field) and "[section] key" -> range,
-    from `_key` fields."""
-    sections, limits = {}, {}
+def _schema() -> tuple[dict[str, dict[str, tuple]], dict[str, tuple], dict[type, list]]:
+    """Section -> key -> (parser, required, field), "[section] key" -> range, and
+    config class -> the (side, field, "[section] key", range) it checks when made,
+    from `_key` fields; ``side`` names a ``ScenarioConfig``'s side that holds the key."""
+    sections, limits, ranges = {}, {}, {}
     for cls in (SideConfig, ScenarioConfig, SweepSpec, ResonanceSection):
         for f in fields(cls):
             parser = _PARSERS.get(f.type.partition(" ")[0].partition("[")[0], _parse_float)
@@ -300,11 +288,14 @@ def _schema() -> tuple[dict[str, dict[str, tuple]], dict[str, tuple]]:
             for section in f.metadata.get("sections", ()):
                 sections.setdefault(section, {})[key] = (parser, f.default is MISSING, f.name)
                 if f.metadata["limits"] is not None:
-                    limits[f"[{section}] {key}"] = f.metadata["limits"]
-    return sections, limits
+                    name, side = f"[{section}] {key}", section if cls is SideConfig else None
+                    limits[name] = f.metadata["limits"]
+                    holder = ScenarioConfig if side else cls
+                    ranges.setdefault(holder, []).append((side, f.name, name, limits[name]))
+    return sections, limits, ranges
 
 
-_KEYS, _LIMITS = _schema()
+_KEYS, _LIMITS, _RANGES = _schema()
 
 
 def load_config_file(path: str | Path) -> ParsedConfig:
@@ -358,7 +349,7 @@ def load_config_file(path: str | Path) -> ParsedConfig:
         **values.get("body", {}), **values.get("link", {}), **values.get("channel", {}),
         base_dir=path.parent,
     )
-    frequency = _pick("[channel] frequency_hz", scenario.frequency_hz, None, None)
+    frequency = scenario.frequency_hz
     if frequency > EQS_MAX_FREQUENCY_HZ:
         warnings.warn(
             f"configured frequency {frequency:.6g} Hz exceeds the "
@@ -406,45 +397,41 @@ def _pick(
 ) -> float | None:
     """The direct-or-derived rule that every channel quantity follows.
 
-    Direct and derived values alike must lie in the range that the field of
-    the ``[section] key`` ``name`` declares (NaN lies in none); this is the
-    one range check of every config value, and it names ``name``
-    also for a derived value that flushed to zero.  A derived value is the
-    one kept; a direct value given beside it must agree with it to
-    ``CONSISTENCY_REL_TOL`` relative.  A direct value alone is kept as given.
-    With neither, the ``missing`` message is raised, or ``None`` is returned
-    when ``missing`` is ``None`` (an optional quantity).
+    A derived value is the one kept.  It must lie in the range that the
+    field of the ``[section] key`` ``name`` declares, which names ``name``
+    also for a value that a law flushed to zero, and a direct value given
+    beside it must agree with it to ``CONSISTENCY_REL_TOL`` relative.  A
+    direct value alone is kept as given: its range was checked when its
+    :class:`ScenarioConfig` was made.  With neither, the ``missing`` message
+    is raised, or ``None`` is returned when ``missing`` is ``None`` (an
+    optional quantity).
 
     Raises:
-        ConfigError: On a value out of range, on disagreement, or on a missing
-            required quantity.
+        ConfigError: On a derived value out of range, on disagreement, or on
+            a missing required quantity.
     """
-    if direct is None and derived is None:  # most keys of most configs
-        if missing is not None:
+    if derived is None:
+        if direct is None and missing is not None:
             raise ConfigError(missing)
-        return None
-    text, within = _LIMITS[name]
-    for value, source in ((direct, ""), (derived, " (derived)")):
-        if value is not None and not holds(within(value)):
-            got = repr(value) if isinstance(value, str) else shown(value, "")
-            raise ConfigError(f"{name}{source} must be {text}, got {got}")
-    if derived is not None:
-        if direct is not None and fails(relative_error(direct, derived) > CONSISTENCY_REL_TOL):
-            raise ConfigError(
-                f"{name}: direct value {shown(direct, '.12g')} disagrees with its geometric "
-                f"derivation {shown(derived, '.12g')} (more than {CONSISTENCY_REL_TOL:g} relative)"
-            )
-        return derived
-    return direct
+        return direct
+    require(_LIMITS[name], ConfigError, **{f"{name} (derived)": derived})
+    if direct is not None and fails(relative_error(direct, derived) > CONSISTENCY_REL_TOL):
+        raise ConfigError(
+            f"{name}: direct value {shown(direct, '.12g')} disagrees with its geometric "
+            f"derivation {shown(derived, '.12g')} (more than {CONSISTENCY_REL_TOL:g} relative)"
+        )
+    return derived
 
 
 def _device_geometry(side: SideConfig, name: str) -> DeviceGeometry | None:
     """The device of ``side``, if it has a radius; its plate separation is then required."""
-    radius = _pick(f"[{name}] radius_m", side.radius_m, None, None)
-    missing = None if radius is None else (
-        f"missing required parameter [{name}] plate_separation_m (required alongside radius_m)")
-    separation = _pick(f"[{name}] plate_separation_m", side.plate_separation_m, None, missing)
-    return None if radius is None else DeviceGeometry(radius, separation)
+    if side.radius_m is None:
+        return None
+    if side.plate_separation_m is None:
+        raise ConfigError(
+            f"missing required parameter [{name}] plate_separation_m (required alongside radius_m)"
+        )
+    return DeviceGeometry(side.radius_m, side.plate_separation_m)
 
 
 def _shadowing(side: SideConfig, name: str, profile: ShadowingProfile | None) -> float | None:
@@ -461,9 +448,7 @@ def _shadowing(side: SideConfig, name: str, profile: ShadowingProfile | None) ->
 def _resolve_separation(config: ScenarioConfig) -> float | None:
     """Device separation: explicit, from body positions, or both (checked)."""
     derived = None
-    tx_s = _pick("[tx] position_s", config.tx.position_s, None, None)
-    rx_s = _pick("[rx] position_s", config.rx.position_s, None, None)
-    length = _pick("[body] segment_length_m", config.segment_length_m, None, None)
+    tx_s, rx_s, length = config.tx.position_s, config.rx.position_s, config.segment_length_m
     if tx_s is not None and rx_s is not None:
         if length is None:
             raise ConfigError(
@@ -513,7 +498,7 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
     Raises:
         ConfigError: Naming the missing or inconsistent field.
     """
-    decouple_m = _pick("[link] decouple_m", config.decouple_m, None, None)
+    decouple_m = config.decouple_m
     profile = config.shadowing_profile
     tx_geom = _device_geometry(config.tx, "tx")
     rx_geom = _device_geometry(config.rx, "rx")
@@ -534,7 +519,7 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
     c_x_rx = resolve_return_path(config.rx, rx_geom, x_rx, "rx")
 
     # Ground-to-body capacitance of the receiver.
-    c_f = _pick("[rx] fringe_f", config.rx.fringe_f, None, None)
+    c_f = config.rx.fringe_f
     derived_gb = None
     if rx_geom is not None and c_f is not None:
         try:
@@ -553,7 +538,7 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
 
     # Inter-device coupling: direct, or the shielded near-field law.
     separation = _resolve_separation(config)
-    k = _pick("[link] k_f_per_m", config.k_f_per_m, None, None)
+    k = config.k_f_per_m
     derived_cc = None
     if k is not None and separation is not None:
         if tx_geom is None:

@@ -21,11 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import fails, holds, require_positive
+from .columns import FRACTION, POSITIVE, fails, holds, require
 from .constants import EPSILON_0
 
 # Largest radius whose plate area pi*a^2 is a finite float.
 MAX_RADIUS_M = math.sqrt(sys.float_info.max / math.pi)
+
+# The ranges of a device radius and of a device separation; unlike
+# columns.POSITIVE, a separation may be inf (plates that never couple).
+RADIUS = (f"positive with a finite plate area pi*a^2 (at most {MAX_RADIUS_M:.6g} m)",
+          lambda v: (v > 0.0) & (v <= MAX_RADIUS_M))
+SEPARATION = "positive", lambda v: v > 0.0
 
 
 @dataclass(frozen=True)
@@ -41,12 +47,8 @@ class DeviceGeometry:
     thickness_t: float
 
     def __post_init__(self) -> None:
-        if not holds((self.radius_a > 0) & (self.radius_a <= MAX_RADIUS_M)):
-            raise ValueError(
-                f"radius_a must be positive and give a finite plate area pi*a^2 "
-                f"(at most {MAX_RADIUS_M:.6g} m), got {self.radius_a}"
-            )
-        require_positive(thickness_t=self.thickness_t)
+        require(RADIUS, radius_a=self.radius_a)
+        require(POSITIVE, thickness_t=self.thickness_t)
 
     @property
     def plate_area(self) -> float:
@@ -94,8 +96,8 @@ def return_path_capacitance(geom: DeviceGeometry, x: float) -> float:
     Raises:
         ValueError: If x is outside (0, 1].
     """
-    if not holds((x > 0.0) & (x <= 1.0)):
-        raise ValueError(f"shadowing fraction x must be in (0, 1], got {x}")
+    if not holds(FRACTION[1](x)):  # the test alone first: naming x costs more than it
+        require(FRACTION, **{"shadowing fraction x": x})
     value = x * 8.0 * EPSILON_0 * geom.radius_a
     return _validated_capacitance(value, "return_path_capacitance")
 
@@ -110,9 +112,9 @@ def coupling_capacitance(geom: DeviceGeometry, d: float, k: float) -> float:
     Raises:
         ValueError: If d <= 0 or NaN, or k is not positive and finite.
     """
-    if not holds(d > 0):
-        raise ValueError(f"device separation d must be positive, got {d}")
-    require_positive(k=k)
+    if not holds(SEPARATION[1](d)):  # the test alone first: naming d costs more than it
+        require(SEPARATION, **{"device separation d": d})
+    require(POSITIVE, k=k)
     value = k * geom.plate_area / d
     return _validated_capacitance(value, "coupling_capacitance")
 
@@ -145,7 +147,7 @@ def calibrate_coupling_constant(c_c_ref: float, d_ref: float, area_ref: float) -
         ValueError: Naming the first input that is not positive and finite,
             or ``k`` when the quotient overflows or underflows.
     """
-    require_positive(c_c_ref=c_c_ref, d_ref=d_ref, area_ref=area_ref)
+    require(POSITIVE, c_c_ref=c_c_ref, d_ref=d_ref, area_ref=area_ref)
     k = c_c_ref * d_ref / area_ref
-    require_positive(k=k)
+    require(POSITIVE, k=k)
     return k

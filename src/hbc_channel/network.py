@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .columns import holds
+from .columns import NONNEGATIVE, POSITIVE, holds, require
 
 if TYPE_CHECKING:
     from .transfer import ChannelScenario
@@ -64,12 +64,10 @@ class CapNetwork:
                 raise ValueError(f"branch ({i}, {j}) references a node out of range")
             if i == j:
                 raise ValueError(f"branch ({i}, {j}) connects a node to itself")
-            if isinstance(c, np.ndarray):  # a batch branch may be absent (zero) on some rows
-                valid = holds((c >= 0) & (c < math.inf))
-            else:
-                valid = 0.0 < c < math.inf
-            if not valid:
-                raise ValueError(f"branch ({i}, {j}) capacitance must be positive, got {c}")
+            # A batch branch may be absent (zero) on some rows.
+            limits = NONNEGATIVE if isinstance(c, np.ndarray) else POSITIVE
+            if not holds(limits[1](c)):  # the test alone first: naming a branch costs more
+                require(limits, **{f"branch ({i}, {j}) capacitance": c})
         sp, sm = self.source
         if not (0 <= sp < n and 0 <= sm < n) or sp == sm:
             raise ValueError(f"source nodes ({sp}, {sm}) must be a distinct in-range pair")

@@ -8,12 +8,11 @@ return-path capacitance.  Values between anchors are linearly interpolated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .columns import holds, shown
+from .columns import COORDINATE, FRACTION, holds, require, shown
 
 SEGMENT_NAMES = ("arm", "torso", "custom")
 
@@ -41,10 +40,8 @@ class ShadowingProfile:
         if len(self.anchors) < 2:
             raise ValueError("profile needs at least 2 anchors")
         for s, x in self.anchors:
-            if not (0.0 <= s <= 1.0) or not math.isfinite(s):
-                raise ValueError(f"anchor coordinate {s} outside [0, 1]")
-            if not (0.0 < x <= 1.0):
-                raise ValueError(f"anchor shadowing fraction {x} outside (0, 1]")
+            require(COORDINATE, **{"anchor coordinate": s})
+            require(FRACTION, **{"anchor shadowing fraction": x})
         coords = [a[0] for a in self.anchors]
         if any(b <= a for a, b in zip(coords, coords[1:])):
             raise ValueError("anchor coordinates must be strictly ascending")

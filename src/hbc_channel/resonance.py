@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import holds, require_positive, shown
+from .columns import POSITIVE, holds, require, shown
 
 DEFAULT_SERIES_RESISTANCE_OHM = 10.0
 DEFAULT_GRID_MIN_HZ = 10e3
@@ -60,7 +60,8 @@ class ResonanceCircuit:
     series_resistance: float = DEFAULT_SERIES_RESISTANCE_OHM
 
     def __post_init__(self) -> None:
-        require_positive(
+        require(
+            POSITIVE,
             inductance=self.inductance,
             capacitance_true=self.capacitance_true,
             series_resistance=self.series_resistance,
@@ -246,7 +247,7 @@ def capacitance_from_resonance(f_r: float, inductance: float) -> float:
             f"resonant frequency must be positive and at most the {MAX_FREQUENCY_HZ:.6g} Hz "
             f"limit, got {f_r}"
         )
-    require_positive(inductance=inductance)
+    require(POSITIVE, inductance=inductance)
     denominator = (2.0 * math.pi * f_r) ** 2 * inductance
     if not (denominator > 0 and math.isfinite(denominator)):
         raise ValueError(f"(2*pi*f_r)^2 * L = {denominator} gives no finite capacitance")
@@ -296,10 +297,7 @@ class DielectricTable:
         if len(self.rows) < 1:
             raise ValueError("dielectric table needs at least one row")
         for thickness, c_b in self.rows:
-            if not (thickness > 0 and math.isfinite(thickness)):
-                raise ValueError(f"table thickness must be positive, got {thickness}")
-            if not (c_b > 0 and math.isfinite(c_b)):
-                raise ValueError(f"table capacitance must be positive, got {c_b}")
+            require(POSITIVE, **{"table thickness": thickness, "table capacitance": c_b})
         thicknesses = [r[0] for r in self.rows]
         capacitances = [r[1] for r in self.rows]
         if any(b <= a for a, b in zip(thicknesses, thicknesses[1:])):

@@ -377,7 +377,9 @@ class TestSweep:
         )
         proc = run_cli("sweep", str(config), "--out", str(tmp_path / "out.csv"))
         assert proc.returncode == 1
-        assert "sweep step 1 (value 5.26316e+198): [tx] radius_m" in proc.stderr
+        # Both ends of the range are checked before any row is evaluated.
+        assert "config error: [sweep] max: [tx] radius_m must be positive with a finite plate" \
+            " area pi*a^2 (at most 7.56455e+153 m), got 1e+200\n" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_nonpositive_segment_length_exits_1_naming_key(self, tmp_path):

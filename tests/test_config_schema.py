@@ -4,12 +4,14 @@ is chosen from the text of an error."""
 
 import ast
 import configparser
+import math
 import re
+from dataclasses import replace
 
 import pytest
 
 from conftest import CONFIG_DIR, REPO_ROOT
-from hbc_channel import cli, config
+from hbc_channel import ConfigError, cli, columns, config, geometry
 
 # Values outside each declared range, by the range's text.
 OUT_OF_RANGE = {
@@ -59,6 +61,108 @@ def test_out_of_range_value_exits_1_naming_key(tmp_path, capsys, name, text, val
     assert code == 1
     parsed = config._KEYS[section][key][0](section, key, value)
     assert err == f"hbc: config error: {name} must be {text}, got {parsed!r}\n"
+
+
+def scenario_cases():
+    """(name, range text, value) for each ranged scenario key: its values out
+    of range as a file would give them, and NaN and inf for a numeric key."""
+    cases = []
+    for name, (text, _) in sorted(config._LIMITS.items()):
+        section, key = name[1:].split("] ")
+        if section in ("tx", "rx", "body", "link", "channel"):
+            parse = config._KEYS[section][key][0]
+            values = [parse(section, key, raw) for raw in OUT_OF_RANGE[text]]
+            if name != "[body] segment":
+                values += [math.nan, math.inf]
+            cases += [(name, text, value) for value in values]
+    return cases
+
+
+SCENARIO_CASES = scenario_cases()
+
+
+@pytest.mark.parametrize(
+    "name, text, value", SCENARIO_CASES,
+    ids=[f"{name}={value}" for name, _, value in SCENARIO_CASES],
+)
+def test_out_of_range_scenario_key_in_python_raises_when_made(name, text, value):
+    """A ``ScenarioConfig`` built in Python, by its constructor or by
+    ``dataclasses.replace``, checks each key's range when it is made; a side's
+    key is checked by the scenario that holds the side."""
+    section, key = name[1:].split("] ")
+    field = config._KEYS[section][key][2]
+    valid = config.ScenarioConfig()
+    if section in ("tx", "rx"):
+        side = config.SideConfig(**{field: value})  # a lone side is not checked
+        makes = (lambda: config.ScenarioConfig(**{section: side}),
+                 lambda: replace(valid, **{section: side}))
+    else:
+        makes = (lambda: config.ScenarioConfig(**{field: value}),
+                 lambda: replace(valid, **{field: value}))
+    message = f"^{re.escape(name)} must be {re.escape(text)}, got {re.escape(repr(value))}$"
+    for make in makes:
+        with pytest.raises(ConfigError, match=message):
+            make()
+
+
+# Sweep kind -> (sample config, its text edited to a base for that kind, the
+# swept key, and (min, max) ranges whose one end leaves the swept key's range).
+# A config file cannot hold inf, so only a radius or a position can lie above
+# its range; a device area maps onto radii of a finite plate area.
+SWEEP_BOUND_CASES = {
+    "separation": ("separation_sweep.cfg", {}, "[link] separation_m", {"min": (0, 1)}),
+    "radius": ("radius_sweep.cfg", {}, "[tx] radius_m",
+               {"min": (0, 0.05), "max": (0.005, 1e200)}),
+    "device_area": ("area_sweep.cfg", {}, "[tx] radius_m", {"min": (0, 30e-4)}),
+    "dielectric_thickness": ("dielectric_sweep.cfg", {}, "[body] dielectric_thickness_m",
+                             {"min": (0, 0.6)}),
+    "rx_position": ("arm_sweep.cfg", {}, "[rx] position_s",
+                    {"min": (1.5, 2), "max": (0.5, 1.5)}),
+    "tx_position": ("arm_sweep.cfg", {"tx": "rx"}, "[tx] position_s",
+                    {"min": (1.5, 2), "max": (0.5, 1.5)}),
+}
+SWEEP_CASES = [
+    (kind, end, bounds)
+    for kind, (_, _, _, ends) in SWEEP_BOUND_CASES.items()
+    for end, bounds in ends.items()
+]
+
+
+@pytest.mark.parametrize(
+    "kind, end, bounds", SWEEP_CASES, ids=[f"{kind}-{end}" for kind, end, _ in SWEEP_CASES]
+)
+def test_sweep_end_outside_the_swept_range_exits_1(tmp_path, capsys, kind, end, bounds):
+    """``hbc sweep`` checks both ends of ``[sweep]`` against the swept key's
+    range before any row runs, naming the end and the key."""
+    sample, moved, swept, _ = SWEEP_BOUND_CASES[kind]
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(CONFIG_DIR / sample)
+    for source, target in moved.items():  # free the swept position for this kind
+        parser[target]["position_s"] = parser[source].pop("position_s")
+    parser["sweep"]["kind"] = kind
+    parser["sweep"]["min"], parser["sweep"]["max"] = (str(value) for value in bounds)
+    path = tmp_path / "sweep.cfg"
+    with path.open("w") as stream:
+        parser.write(stream)
+    code = cli.main(["sweep", str(path), "--out", str(tmp_path / "out.csv")])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith(f"hbc: config error: [sweep] {end}: {swept} must be ")
+
+
+def test_each_range_is_declared_once():
+    """Every config key's range is one of the range objects the model
+    declares, not a copy: the config and the model cannot drift apart."""
+    assert config._LIMITS["[tx] radius_m"] is geometry.RADIUS
+    assert config._LIMITS["[tx] shadowing_x"] is columns.FRACTION
+    assert config._LIMITS["[tx] position_s"] is columns.COORDINATE
+    assert config._LIMITS["[rx] load_f"] is columns.POSITIVE
+    assert config._LIMITS["[rx] fringe_f"] is columns.NONNEGATIVE
+    by_text = {limits[0]: limits for limits in (columns.POSITIVE, columns.NONNEGATIVE,
+                                                 columns.FRACTION, columns.COORDINATE,
+                                                 geometry.RADIUS)}
+    for name, limits in config._LIMITS.items():
+        assert by_text.get(limits[0], limits) is limits, name
 
 
 @pytest.mark.parametrize(

@@ -117,6 +117,23 @@ class TestReturnPathCapacitance:
             return_path_capacitance(DeviceGeometry(0.03, 0.005), x)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: return_path_capacitance(DeviceGeometry(0.03, 0.005), np.array([0.5, 1.5, 0.7])),
+         "shadowing fraction x must be in (0, 1], got some row"),
+        (lambda: coupling_capacitance(DeviceGeometry(0.03, 0.005), np.array([0.1, 0.0]), 2e-12),
+         "device separation d must be positive, got some row"),
+    ],
+    ids=["return-path-x", "coupling-d"],
+)
+def test_column_with_one_bad_row_names_no_array(call, message):
+    """A column's error says that some row failed; it prints no array."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestCouplingCapacitance:
     def test_reference_60_femtofarad_point(self):
         """30 cm^2 plates 10 cm apart with the sample constant: ~60 fF."""

@@ -53,7 +53,9 @@ class TestCapNetworkValidation:
 
     @pytest.mark.parametrize("bad", [-1e-12, np.nan])
     def test_rejects_batch_column_with_bad_row(self, bad):
-        with pytest.raises(ValueError, match="capacitance must be positive"):
+        """A column may hold zeros (absent branches), so its rule is nonnegative."""
+        message = r"^branch \(1, 2\) capacitance must be nonnegative, got some row$"
+        with pytest.raises(ValueError, match=message):
             CapNetwork(3, ((1, 2, np.array([1e-12, bad, 0.0])),), (1, 0), (2, 0))
 
     def test_rejects_self_loop(self):

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from pathlib import Path
 
 import hbc_channel
 
@@ -42,3 +43,23 @@ def test_exported_names_are_the_package_imports():
         for alias in node.names
     }
     assert set(hbc_channel.__all__) == imported
+
+
+def test_every_module_level_import_is_used():
+    """Each name a module of the package imports at module level is used in
+    that module (``__init__`` only re-exports, so it is left out)."""
+    unused = []
+    for path in sorted(Path(hbc_channel.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = [
+            alias.asname or alias.name.partition(".")[0]
+            for node in tree.body
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in imported if name not in used]
+    assert unused == []

@@ -438,23 +438,24 @@ class TestProgrammaticConfig:
         assert scenario.c_x_tx == 0.5e-12
 
     def test_shadowing_x_out_of_range(self):
-        config = ScenarioConfig(
-            tx=SideConfig(radius_m=0.03, plate_separation_m=0.005, shadowing_x=1.5),
-            rx=SideConfig(return_path_f=0.5e-12, ground_body_f=3e-12, load_f=10e-12),
-            c_b_f=150.838e-12,
-            coupling_f=0.0,
-        )
+        """Rejected when the config is made, before any scenario is built."""
         with pytest.raises(ConfigError, match="shadowing_x"):
-            build_scenario(config)
+            ScenarioConfig(
+                tx=SideConfig(radius_m=0.03, plate_separation_m=0.005, shadowing_x=1.5),
+                rx=SideConfig(return_path_f=0.5e-12, ground_body_f=3e-12, load_f=10e-12),
+                c_b_f=150.838e-12,
+                coupling_f=0.0,
+            )
 
     @pytest.mark.parametrize(
         "key, config",
         [
-            ("[link] decouple_m", replace(DIRECT_CONFIG, decouple_m=math.nan)),
-            ("[body] segment_length_m", replace(DIRECT_CONFIG, segment_length_m=math.nan)),
-            ("[link] coupling_f", replace(DIRECT_CONFIG, coupling_f=math.nan)),
+            ("[link] decouple_m", lambda: replace(DIRECT_CONFIG, decouple_m=math.nan)),
+            ("[body] segment_length_m",
+             lambda: replace(DIRECT_CONFIG, segment_length_m=math.nan)),
+            ("[link] coupling_f", lambda: replace(DIRECT_CONFIG, coupling_f=math.nan)),
             ("[rx] fringe_f",
-             replace(DIRECT_CONFIG, rx=replace(DIRECT_CONFIG.rx, fringe_f=math.nan))),
+             lambda: replace(DIRECT_CONFIG, rx=replace(DIRECT_CONFIG.rx, fringe_f=math.nan))),
         ],
         ids=["decouple_m", "segment_length_m", "coupling_f", "fringe_f"],
     )
@@ -462,15 +463,16 @@ class TestProgrammaticConfig:
         """NaN is neither positive nor nonnegative, and the error names its key."""
         message = f"^{re.escape(key)} must be (positive|nonnegative), got nan$"
         with pytest.raises(ConfigError, match=message):
-            build_scenario(config)
+            build_scenario(config())
 
     @pytest.mark.parametrize(
         "key, config",
         [
-            ("[link] k_f_per_m", replace(DIRECT_CONFIG, k_f_per_m=math.inf)),
-            ("[link] decouple_m", replace(DIRECT_CONFIG, decouple_m=math.inf)),
-            ("[body] segment_length_m", replace(DIRECT_CONFIG, segment_length_m=math.inf)),
-            ("[link] coupling_f", replace(DIRECT_CONFIG, coupling_f=math.inf)),
+            ("[link] k_f_per_m", lambda: replace(DIRECT_CONFIG, k_f_per_m=math.inf)),
+            ("[link] decouple_m", lambda: replace(DIRECT_CONFIG, decouple_m=math.inf)),
+            ("[body] segment_length_m",
+             lambda: replace(DIRECT_CONFIG, segment_length_m=math.inf)),
+            ("[link] coupling_f", lambda: replace(DIRECT_CONFIG, coupling_f=math.inf)),
         ],
         ids=["k_f_per_m", "decouple_m", "segment_length_m", "coupling_f"],
     )
@@ -479,4 +481,4 @@ class TestProgrammaticConfig:
         same finite range, and the error names its key."""
         message = f"^{re.escape(key)} must be (positive|nonnegative), got inf$"
         with pytest.raises(ConfigError, match=message):
-            build_scenario(config)
+            build_scenario(config())

@@ -259,6 +259,24 @@ class TestGeometricTransfer:
         with pytest.raises(ValueError, match=f"^device separation d must be positive, got {d}$"):
             geometric_transfer(self.GEOM, self.GEOM, d=d, k=2e-12, **self.ARGS)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            # C_PP = eps0*pi*a^2/t flushes to 0, and with c_f = 0 so does C_GB-Rx.
+            ((DeviceGeometry(1e-200, 0.005), DeviceGeometry(1e-200, 0.005), 0.5, 0.5, 0.0),
+             "rx and c_f: c_gb_rx must be positive, got 0.0"),
+            ((GEOM, GEOM, 1.5, 0.5, 0.75e-12),
+             "tx and x_tx: shadowing fraction x must be in (0, 1], got 1.5"),
+            ((GEOM, GEOM, 0.5, 0.0, 0.75e-12),
+             "rx and x_rx: shadowing fraction x must be in (0, 1], got 0.0"),
+        ],
+        ids=["c_gb_rx-flushed", "x_tx", "x_rx"],
+    )
+    def test_law_error_names_its_arguments(self, args, message):
+        """A law's error opens with the arguments of geometric_transfer it took."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            geometric_transfer(*args, 1e-11, 1e-10)
+
     def test_coupled_at_infinite_separation_is_distant(self):
         """As in coupling_capacitance, d = inf gives zero coupling."""
         distant = geometric_transfer(self.GEOM, self.GEOM, **self.ARGS)
