@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
+from .columns import POSITIVE
 from .config import (
     ConfigError,
     ParsedConfig,
@@ -76,13 +76,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_float(text: str) -> float:
-    """argparse type: a positive, finite float (argparse names the flag)."""
+    """argparse type: a float in the range ``columns.POSITIVE`` (argparse names the flag)."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    if not POSITIVE[1](value):
+        raise argparse.ArgumentTypeError(f"must be {POSITIVE[0]}, got {text}")
     return value
 
 
@@ -202,15 +202,12 @@ def _cmd_resonance(args) -> int:
         raise ConfigError(f"{parsed.path}: no [resonance] section")
     section = parsed.resonance
     c_b = _resonance_capacitance(parsed)
-    # Past the ranges of the section and of C_B, each call has one error left.
+    # Past the checks of the section and of C_B, the circuit has one error left.
     try:
         circuit = ResonanceCircuit(section.inductance_h, c_b, section.series_resistance_ohm)
     except ValueError as exc:  # a resistance with no finite positive square
         raise ConfigError(f"[resonance] series_resistance_ohm: {exc}") from exc
-    try:
-        grid = default_frequency_grid(section.f_min_hz, section.f_max_hz, section.points)
-    except ValueError as exc:  # f_max_hz not above f_min_hz
-        raise ConfigError(f"[resonance] f_min_hz, f_max_hz: {exc}") from exc
+    grid = default_frequency_grid(section.f_min_hz, section.f_max_hz, section.points)
     try:
         recovered, f_r, sweep = extract_body_capacitance(circuit, grid)
     except _NUMERICAL_ERRORS:

@@ -2,8 +2,9 @@
 
 Every function of the model accepts either floats (one scenario) or numpy
 columns (one row per sweep step, floats broadcast against them).  A check is
-a plain ``if`` either way, and a value range is checked by :func:`require`
-against one of the ranges declared here.  On a column a check fails when any
+a plain ``if`` either way, and a value range is checked by one call per
+value, ``require(limits, name, value)``, against a range declared once: here,
+or beside the model function that owns it.  On a column a check fails when any
 row fails, and the error raised for the column as a whole says only that
 some row failed: its message formats values through :func:`shown`.  Rows are
 independent, so :func:`hbc_channel.sweep.run_sweep` finds the lowest failing
@@ -46,15 +47,19 @@ FRACTION = "in (0, 1]", lambda v: (v > 0.0) & (v <= 1.0)
 COORDINATE = "in [0, 1]", lambda v: (v >= 0.0) & (v <= 1.0)
 
 
-def require(limits, error=ValueError, /, **values) -> None:
-    """Raise ``error`` for the first of ``values`` outside the range ``limits``.
+def one_of(names: tuple[str, ...]):
+    """The range of a value that must be one of ``names``."""
+    return f"one of {names}", lambda v: v in names
+
+
+def require(limits, name: str, value, error=ValueError) -> None:
+    """Raise ``error`` unless ``value`` lies in the range ``limits``.
 
     The message reads "<name> must be <range>, got <value>"; a column must
     lie within on every row, and reads as "some row".
     """
     text, test = limits
-    for name, value in values.items():
-        ok = test(value)
-        if ok is not True and not holds(ok):
-            got = repr(value) if value.__class__ is str else shown(value, "")
-            raise error(f"{name} must be {text}, got {got}")
+    ok = test(value)
+    if ok is not True and not holds(ok):
+        got = repr(value) if value.__class__ is str else shown(value, "")
+        raise error(f"{name} must be {text}, got {got}")

@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .columns import COORDINATE, FRACTION, NONNEGATIVE, POSITIVE, fails, require, shown
+from .columns import COORDINATE, FRACTION, NONNEGATIVE, POSITIVE, fails, one_of, require, shown
 from .constants import DECOUPLING_DISTANCE_M, DEFAULT_FREQUENCY_HZ, EQS_MAX_FREQUENCY_HZ
 from .geometry import (
     RADIUS,
@@ -55,12 +55,13 @@ from .geometry import (
     plate_to_plate_capacitance,
     return_path_capacitance,
 )
-from .profiles import SEGMENT_NAMES, ShadowingProfile, shadowing_factor
+from .profiles import SEGMENT, ShadowingProfile, shadowing_factor
 from .resonance import (
     DEFAULT_GRID_MAX_HZ,
     DEFAULT_GRID_MIN_HZ,
     DEFAULT_GRID_POINTS,
     DEFAULT_SERIES_RESISTANCE_OHM,
+    GRID_POINTS,
     DielectricTable,
     body_capacitance_lookup,
 )
@@ -81,10 +82,6 @@ class EqsRegimeWarning(UserWarning):
     """Configured frequency lies above the electro-quasistatic band."""
 
 
-def _one_of(names: tuple[str, ...]):
-    return f"one of {names}", lambda v: v in names
-
-
 def _key(sections: str, limits=None, default=None, key: str | None = None):
     """A field read from the key ``key`` (default: its name) in each of ``sections``, within
     ``limits`` (``None``: the type it builds checks it); ``default=MISSING`` makes it required."""
@@ -97,7 +94,7 @@ def _check_ranges(section) -> None:
     for side, attr, name, limits in _RANGES[type(section)]:
         value = getattr(getattr(section, side) if side else section, attr)
         if value is not None:
-            require(limits, ConfigError, **{name: value})
+            require(limits, name, value, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,7 @@ class ScenarioConfig:
     c_b_f: float | None = _key("body", POSITIVE)
     dielectric_thickness_m: float | None = _key("body", POSITIVE)
     dielectric_table: str | None = _key("body")
-    segment: str | None = _key("body", _one_of(SEGMENT_NAMES))
+    segment: str | None = _key("body", SEGMENT)
     shadowing_anchors: tuple[tuple[float, float], ...] | None = _key("body")
     segment_length_m: float | None = _key("body", POSITIVE)
     coupling_f: float | None = _key("link", NONNEGATIVE)
@@ -191,7 +188,7 @@ class SweepSpec:
     """One-parameter sweep: kind, linear range, and the fixed base scenario; both
     ends of the range must lie in the range of the key they drive."""
 
-    kind: str = _key("sweep", _one_of(tuple(sorted(SWEEP_KINDS))), MISSING)
+    kind: str = _key("sweep", one_of(tuple(sorted(SWEEP_KINDS))), MISSING)
     start: float = _key("sweep", NONNEGATIVE, MISSING, key="min")
     stop: float = _key("sweep", POSITIVE, MISSING, key="max")
     steps: int = _key("sweep", ("at least 2", lambda v: v >= 2), MISSING)
@@ -225,10 +222,14 @@ class ResonanceSection:
     capacitance_f: float | None = _key("resonance", POSITIVE)
     f_min_hz: float = _key("resonance", POSITIVE, DEFAULT_GRID_MIN_HZ)
     f_max_hz: float = _key("resonance", POSITIVE, DEFAULT_GRID_MAX_HZ)
-    points: int = _key("resonance", ("at least 3", lambda v: v >= 3), DEFAULT_GRID_POINTS)
+    points: int = _key("resonance", GRID_POINTS, DEFAULT_GRID_POINTS)
 
     def __post_init__(self) -> None:
         _check_ranges(self)
+        if not self.f_min_hz < self.f_max_hz:
+            raise ConfigError(
+                f"[resonance] needs f_min_hz < f_max_hz, got {self.f_min_hz} >= {self.f_max_hz}"
+            )
 
 
 @dataclass(frozen=True)
@@ -414,7 +415,7 @@ def _pick(
         if direct is None and missing is not None:
             raise ConfigError(missing)
         return direct
-    require(_LIMITS[name], ConfigError, **{f"{name} (derived)": derived})
+    require(_LIMITS[name], f"{name} (derived)", derived, ConfigError)
     if direct is not None and fails(relative_error(direct, derived) > CONSISTENCY_REL_TOL):
         raise ConfigError(
             f"{name}: direct value {shown(direct, '.12g')} disagrees with its geometric "

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import FRACTION, POSITIVE, fails, holds, require
+from .columns import FRACTION, NONNEGATIVE, POSITIVE, holds, require
 from .constants import EPSILON_0
 
 # Largest radius whose plate area pi*a^2 is a finite float.
@@ -47,8 +47,8 @@ class DeviceGeometry:
     thickness_t: float
 
     def __post_init__(self) -> None:
-        require(RADIUS, radius_a=self.radius_a)
-        require(POSITIVE, thickness_t=self.thickness_t)
+        require(RADIUS, "radius_a", self.radius_a)
+        require(POSITIVE, "thickness_t", self.thickness_t)
 
     @property
     def plate_area(self) -> float:
@@ -65,7 +65,7 @@ def _validated_capacitance(value: float, context: str) -> float:
     Subnormals are flushed to zero so downstream ratios never divide by a
     denormal tail.
     """
-    if not holds((value >= 0) & (value < math.inf)):
+    if not holds(NONNEGATIVE[1](value)):
         raise ValueError(f"{context} produced invalid capacitance {value}")
     if isinstance(value, np.ndarray):
         return np.where((value > 0) & (value < sys.float_info.min), 0.0, value)
@@ -96,8 +96,7 @@ def return_path_capacitance(geom: DeviceGeometry, x: float) -> float:
     Raises:
         ValueError: If x is outside (0, 1].
     """
-    if not holds(FRACTION[1](x)):  # the test alone first: naming x costs more than it
-        require(FRACTION, **{"shadowing fraction x": x})
+    require(FRACTION, "shadowing fraction x", x)
     value = x * 8.0 * EPSILON_0 * geom.radius_a
     return _validated_capacitance(value, "return_path_capacitance")
 
@@ -112,9 +111,8 @@ def coupling_capacitance(geom: DeviceGeometry, d: float, k: float) -> float:
     Raises:
         ValueError: If d <= 0 or NaN, or k is not positive and finite.
     """
-    if not holds(SEPARATION[1](d)):  # the test alone first: naming d costs more than it
-        require(SEPARATION, **{"device separation d": d})
-    require(POSITIVE, k=k)
+    require(SEPARATION, "device separation d", d)
+    require(POSITIVE, "k", k)
     value = k * geom.plate_area / d
     return _validated_capacitance(value, "coupling_capacitance")
 
@@ -125,10 +123,8 @@ def ground_to_body_capacitance(c_pp: float, c_fringe: float) -> float:
     Sum of the plate-to-plate capacitance and the fringe-field capacitance
     between the body and the ground plate.
     """
-    if fails((c_pp < 0) | (c_fringe < 0)):
-        raise ValueError(
-            f"capacitances must be nonnegative, got c_pp={c_pp}, c_fringe={c_fringe}"
-        )
+    require(NONNEGATIVE, "c_pp", c_pp)
+    require(NONNEGATIVE, "c_fringe", c_fringe)
     return _validated_capacitance(c_pp + c_fringe, "ground_to_body_capacitance")
 
 
@@ -147,7 +143,9 @@ def calibrate_coupling_constant(c_c_ref: float, d_ref: float, area_ref: float) -
         ValueError: Naming the first input that is not positive and finite,
             or ``k`` when the quotient overflows or underflows.
     """
-    require(POSITIVE, c_c_ref=c_c_ref, d_ref=d_ref, area_ref=area_ref)
+    require(POSITIVE, "c_c_ref", c_c_ref)
+    require(POSITIVE, "d_ref", d_ref)
+    require(POSITIVE, "area_ref", area_ref)
     k = c_c_ref * d_ref / area_ref
-    require(POSITIVE, k=k)
+    require(POSITIVE, "k", k)
     return k

@@ -66,8 +66,9 @@ class CapNetwork:
                 raise ValueError(f"branch ({i}, {j}) connects a node to itself")
             # A batch branch may be absent (zero) on some rows.
             limits = NONNEGATIVE if isinstance(c, np.ndarray) else POSITIVE
-            if not holds(limits[1](c)):  # the test alone first: naming a branch costs more
-                require(limits, **{f"branch ({i}, {j}) capacitance": c})
+            # The test alone first: building each branch's f-string name slows every solve.
+            if not holds(limits[1](c)):
+                require(limits, f"branch ({i}, {j}) capacitance", c)
         sp, sm = self.source
         if not (0 <= sp < n and 0 <= sm < n) or sp == sm:
             raise ValueError(f"source nodes ({sp}, {sm}) must be a distinct in-range pair")

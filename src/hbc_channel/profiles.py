@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .columns import COORDINATE, FRACTION, holds, require, shown
+from .columns import COORDINATE, FRACTION, holds, one_of, require, shown
 
-SEGMENT_NAMES = ("arm", "torso", "custom")
+SEGMENT = one_of(("arm", "torso", "custom"))
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,12 @@ class ShadowingProfile:
     columns: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.segment not in SEGMENT_NAMES:
-            raise ValueError(
-                f"unknown segment {self.segment!r}; expected one of {SEGMENT_NAMES}"
-            )
+        require(SEGMENT, "segment", self.segment)
         if len(self.anchors) < 2:
             raise ValueError("profile needs at least 2 anchors")
         for s, x in self.anchors:
-            require(COORDINATE, **{"anchor coordinate": s})
-            require(FRACTION, **{"anchor shadowing fraction": x})
+            require(COORDINATE, "anchor coordinate", s)
+            require(FRACTION, "anchor shadowing fraction", x)
         coords = [a[0] for a in self.anchors]
         if any(b <= a for a, b in zip(coords, coords[1:])):
             raise ValueError("anchor coordinates must be strictly ascending")

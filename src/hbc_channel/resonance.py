@@ -33,6 +33,10 @@ DEFAULT_GRID_POINTS = 2000
 # Largest frequency whose (2*pi*f)**2 stays a finite float (the limit is
 # about 2.1e153 Hz; a round value below it).
 MAX_FREQUENCY_HZ = 1e153
+# The ranges of a resonant frequency and of a grid's number of points.
+FREQUENCY = (f"positive and at most the {MAX_FREQUENCY_HZ:.6g} Hz limit",
+             lambda v: (v > 0.0) & (v <= MAX_FREQUENCY_HZ))
+GRID_POINTS = "at least 3", lambda v: v >= 3
 # Largest accepted 2*(x2 - x0)/x1 over the grid points (x0, x1, x2) around
 # the peak: since C is proportional to f_r**-2, it bounds the relative error
 # of the recovered capacitance.  The default grid gives 0.92 %.
@@ -60,12 +64,9 @@ class ResonanceCircuit:
     series_resistance: float = DEFAULT_SERIES_RESISTANCE_OHM
 
     def __post_init__(self) -> None:
-        require(
-            POSITIVE,
-            inductance=self.inductance,
-            capacitance_true=self.capacitance_true,
-            series_resistance=self.series_resistance,
-        )
+        require(POSITIVE, "inductance", self.inductance)
+        require(POSITIVE, "capacitance_true", self.capacitance_true)
+        require(POSITIVE, "series_resistance", self.series_resistance)
         # A square that underflows to 0 would let the magnitude divide by 0.
         if not 0 < self.series_resistance * self.series_resistance < math.inf:
             raise ValueError(
@@ -133,12 +134,11 @@ def default_frequency_grid(
     points: int = DEFAULT_GRID_POINTS,
 ) -> np.ndarray:
     """Logarithmically spaced analysis grid, as an array the caller owns."""
-    if not (f_min > 0 and f_max > f_min):
-        raise ValueError(f"need 0 < f_min < f_max, got {f_min}, {f_max}")
-    if points < 3:
-        raise ValueError(f"grid needs at least 3 points, got {points}")
-    if not math.isfinite(f_max):
-        raise ValueError(f"f_min and f_max must be finite, got {f_min}, {f_max}")
+    require(POSITIVE, "f_min", f_min)
+    require(POSITIVE, "f_max", f_max)
+    if not f_max > f_min:
+        raise ValueError(f"need f_min < f_max, got {f_min}, {f_max}")
+    require(GRID_POINTS, "points", points)
     return np.geomspace(f_min, f_max, points)
 
 
@@ -242,12 +242,8 @@ def find_resonant_frequency(sweep: FrequencySweep) -> tuple[float, tuple[float, 
 
 def capacitance_from_resonance(f_r: float, inductance: float) -> float:
     """Recover the capacitance from a resonant frequency: C = 1/((2*pi*f_r)^2 L)."""
-    if not 0 < f_r <= MAX_FREQUENCY_HZ:
-        raise ValueError(
-            f"resonant frequency must be positive and at most the {MAX_FREQUENCY_HZ:.6g} Hz "
-            f"limit, got {f_r}"
-        )
-    require(POSITIVE, inductance=inductance)
+    require(FREQUENCY, "resonant frequency", f_r)
+    require(POSITIVE, "inductance", inductance)
     denominator = (2.0 * math.pi * f_r) ** 2 * inductance
     if not (denominator > 0 and math.isfinite(denominator)):
         raise ValueError(f"(2*pi*f_r)^2 * L = {denominator} gives no finite capacitance")
@@ -297,7 +293,8 @@ class DielectricTable:
         if len(self.rows) < 1:
             raise ValueError("dielectric table needs at least one row")
         for thickness, c_b in self.rows:
-            require(POSITIVE, **{"table thickness": thickness, "table capacitance": c_b})
+            require(POSITIVE, "table thickness", thickness)
+            require(POSITIVE, "table capacitance", c_b)
         thicknesses = [r[0] for r in self.rows]
         capacitances = [r[1] for r in self.rows]
         if any(b <= a for a, b in zip(thicknesses, thicknesses[1:])):

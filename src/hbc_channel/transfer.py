@@ -45,6 +45,9 @@ from .geometry import (
 )
 from .network import build_channel_network, solve_transfer
 
+# The range of a body potential ratio V_body/V_in that a return path gives.
+_BODY_RATIO = "in (0, 1)", lambda v: (v > 0.0) & (v < 1.0)
+
 
 class DegenerateScenarioError(ArithmeticError):
     """A transfer denominator collapsed below the meaningful range."""
@@ -94,11 +97,12 @@ class ChannelScenario:
     provenance: GeometricProvenance | None = None
 
     def __post_init__(self) -> None:
-        require(
-            POSITIVE, c_x_tx=self.c_x_tx, c_x_rx=self.c_x_rx, c_gb_rx=self.c_gb_rx,
-            c_l=self.c_l, c_b=self.c_b,
-        )
-        require(NONNEGATIVE, c_c=self.c_c)
+        require(POSITIVE, "c_x_tx", self.c_x_tx)
+        require(POSITIVE, "c_x_rx", self.c_x_rx)
+        require(POSITIVE, "c_gb_rx", self.c_gb_rx)
+        require(POSITIVE, "c_l", self.c_l)
+        require(POSITIVE, "c_b", self.c_b)
+        require(NONNEGATIVE, "c_c", self.c_c)
 
 
 # The six capacitance fields of a scenario, in the order of the sweep CSV columns.
@@ -132,7 +136,8 @@ def body_potential_ratio(c_return: float, c_b: float) -> float:
     standard approximation valid for C_return << C_B, and the nodal oracle
     recovers the exact value when needed.
     """
-    require(POSITIVE, c_return=c_return, c_b=c_b)
+    require(POSITIVE, "c_return", c_return)
+    require(POSITIVE, "c_b", c_b)
     return _checked_ratio(c_return, c_b, "body_potential_ratio")
 
 
@@ -143,9 +148,8 @@ def extract_return_path(v_ratio: float, c_b: float) -> float:
         v_ratio: Measured or simulated body potential ratio, in (0, 1).
         c_b: Body-to-earth capacitance, F.
     """
-    if not (0.0 < v_ratio < 1.0):
-        raise ValueError(f"v_ratio must be in (0, 1), got {v_ratio}")
-    require(POSITIVE, c_b=c_b)
+    require(_BODY_RATIO, "v_ratio", v_ratio)
+    require(POSITIVE, "c_b", c_b)
     return c_b * v_ratio
 
 
@@ -249,7 +253,7 @@ def geometric_transfer(
         raise ValueError(
             f"geometric form assumes equal radii, got tx={tx.radius_a} rx={rx.radius_a}"
         )
-    require(NONNEGATIVE, c_f=c_f)
+    require(NONNEGATIVE, "c_f", c_f)
     if (d is None) != (k is None):
         raise ValueError("coupled geometric form requires d and k")
     return simplified_transfer(_geometric_scenario(tx, rx, x_tx, x_rx, c_f, c_l, c_b, d, k))
@@ -262,21 +266,20 @@ def _geometric_scenario(
     """The scenario of the geometric form, coupled when both ``d`` and ``k`` are given."""
     c_c = 0.0
     if d is not None and k is not None:
-        if not holds(SEPARATION[1](d)):  # the test alone first, as coupling_capacitance does
-            require(SEPARATION, **{"device separation d": d})
-        require(POSITIVE, k=k)
+        require(SEPARATION, "device separation d", d)
+        require(POSITIVE, "k", k)
         # Not coupling_capacitance: its k*(pi*a^2)/d rounds geometric_full off the golden.
         c_c = k * math.pi * tx.radius_a**2 / d
     args = "tx and x_tx"  # the arguments of the law at hand, which its error names
     try:
         c_x_tx = return_path_capacitance(tx, x_tx)
-        require(POSITIVE, c_x_tx=c_x_tx)
+        require(POSITIVE, "c_x_tx", c_x_tx)
         args = "rx and x_rx"
         c_x_rx = return_path_capacitance(rx, x_rx)
-        require(POSITIVE, c_x_rx=c_x_rx)
+        require(POSITIVE, "c_x_rx", c_x_rx)
         args = "rx and c_f"
         c_gb_rx = ground_to_body_capacitance(plate_to_plate_capacitance(rx), c_f)
-        require(POSITIVE, c_gb_rx=c_gb_rx)
+        require(POSITIVE, "c_gb_rx", c_gb_rx)
     except ValueError as exc:
         raise ValueError(f"{args}: {exc}") from exc
     return ChannelScenario(c_x_tx, c_x_rx, c_gb_rx, c_l, c_b, c_c)
@@ -288,7 +291,7 @@ def ratio_to_db(r: float) -> float:
     Channel *loss* is the negative of this value.  A column is converted row
     by row with ``math.log10``: numpy's log10 need not round the same way.
     """
-    require(POSITIVE, ratio=r)
+    require(POSITIVE, "ratio", r)
     if isinstance(r, np.ndarray):
         return 20.0 * np.array(list(map(math.log10, r.tolist())))
     return 20.0 * math.log10(r)
@@ -377,7 +380,7 @@ def compare_closed_forms(
         ValueError: If frequency is not positive, or the provenance gives
             no valid geometric scenario.
     """
-    require(POSITIVE, frequency=frequency)
+    require(POSITIVE, "frequency", frequency)
     ratios: dict[str, float] = {
         "distant": rx_transfer_distant(s),
         "simplified": simplified_transfer(s),

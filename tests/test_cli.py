@@ -513,6 +513,8 @@ class TestResonance:
             ("150.838e-12", "inductance_h = 1e-3\nseries_resistance_ohm = 0\n",
              "[resonance] series_resistance_ohm"),
             ("150.838e-12", "inductance_h = 1e-3\nf_min_hz = -5\n", "[resonance] f_min_hz"),
+            ("150.838e-12", "inductance_h = 1e-3\nf_min_hz = 1e6\nf_max_hz = 1e4\n",
+             "[resonance] needs f_min_hz < f_max_hz, got 1000000.0 >= 10000.0"),
             ("150.838e-12", "inductance_h = 1e-3\ncapacitance_f = 0\n",
              "[resonance] capacitance_f"),
             ("-150e-12", "inductance_h = 1e-3\n", "[body] c_b_f"),
@@ -528,6 +530,7 @@ class TestResonance:
         ids=[
             "resistance-square-overflows", "capacitance-divides-by-zero",
             "negative-inductance", "two-points", "zero-resistance", "negative-f-min",
+            "reversed-grid",
             "zero-capacitance", "negative-body-capacitance", "reactance-overflows-huge-l",
             "reactance-overflows-tiny-f-min",
         ],
@@ -676,11 +679,11 @@ class TestCalibrateK:
         "argv, message",
         [
             (["--cc", "nan", "--d", "0.1", "--area", "30e-4"],
-             "argument --cc: must be positive and finite, got nan"),
+             "argument --cc: must be positive, got nan"),
             (["--cc", "60e-15", "--d", "-1", "--area", "30e-4"],
-             "argument --d: must be positive and finite, got -1"),
+             "argument --d: must be positive, got -1"),
             (["--cc", "60e-15", "--d", "0.1", "--area", "inf"],
-             "argument --area: must be positive and finite, got inf"),
+             "argument --area: must be positive, got inf"),
             (["--cc", "1e-300", "--d", "1e-300", "--area", "1e300"],
              "--cc, --d and --area: k must be positive, got 0.0"),
         ],

@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import CONFIG_DIR, REPO_ROOT
-from hbc_channel import ConfigError, cli, columns, config, geometry
+from hbc_channel import ConfigError, cli, columns, config, geometry, profiles, resonance
 
 # Values outside each declared range, by the range's text.
 OUT_OF_RANGE = {
@@ -158,6 +158,8 @@ def test_each_range_is_declared_once():
     assert config._LIMITS["[tx] position_s"] is columns.COORDINATE
     assert config._LIMITS["[rx] load_f"] is columns.POSITIVE
     assert config._LIMITS["[rx] fringe_f"] is columns.NONNEGATIVE
+    assert config._LIMITS["[body] segment"] is profiles.SEGMENT
+    assert config._LIMITS["[resonance] points"] is resonance.GRID_POINTS
     by_text = {limits[0]: limits for limits in (columns.POSITIVE, columns.NONNEGATIVE,
                                                  columns.FRACTION, columns.COORDINATE,
                                                  geometry.RADIUS)}
@@ -170,8 +172,9 @@ def test_each_range_is_declared_once():
     [
         ("[sweep]\nkind = separation\nmin = 0.1\nmax = 1\nsteps = 1\n", 0),
         ("[resonance]\ninductance_h = 1e-3\npoints = 2\n", 1),
+        ("[resonance]\ninductance_h = 1e-3\nf_min_hz = 1e6\nf_max_hz = 1e4\n", 1),
     ],
-    ids=["sweep-left-to-hbc-sweep", "resonance-checked-on-read"],
+    ids=["sweep-left-to-hbc-sweep", "resonance-checked-on-read", "resonance-span-checked-on-read"],
 )
 def test_eval_checks_resonance_ranges_but_not_sweep_ones(tmp_path, section, code):
     """``[resonance]`` is checked as the file is read; ``[sweep]`` values
@@ -217,4 +220,27 @@ def test_no_key_is_chosen_from_an_error_message():
                     and any(isinstance(a, ast.Name) and a.id == handler.name for a in node.args)
                 ):
                     found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def _calls(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def test_each_range_check_is_one_require_call():
+    """A range is checked by ``require(limits, name, value)``: no call spreads
+    a dict of names into it, and no ``if`` runs a range's test alone before
+    calling it, except in ``CapNetwork`` (network.py), where the name is an
+    f-string per branch that a passing branch never builds."""
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "hbc_channel").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if _calls(node, "require") and any(k.arg is None for k in node.keywords):
+                found.append(f"{path.name}:{node.lineno}: require(**...)")
+            if isinstance(node, ast.If) and path.name != "network.py" and any(
+                _calls(test, "holds") and test.args and isinstance(test.args[0], ast.Call)
+                and isinstance(test.args[0].func, ast.Subscript)
+                for test in ast.walk(node.test)
+            ) and any(_calls(call, "require") for s in node.body for call in ast.walk(s)):
+                found.append(f"{path.name}:{node.lineno}: holds(<range>[1](...)) fork")
     assert found == []

@@ -184,9 +184,19 @@ class TestGroundToBodyCapacitance:
     def test_no_fringe_reduces_to_plate_value(self):
         assert ground_to_body_capacitance(2.25e-12, 0.0) == 2.25e-12
 
-    def test_rejects_negative_input(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ground_to_body_capacitance(-1e-12, 0.5e-12)
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-1e-12, 0.5e-12), "c_pp must be nonnegative, got -1e-12"),
+            ((math.nan, 0.0), "c_pp must be nonnegative, got nan"),
+            ((2.25e-12, math.inf), "c_fringe must be nonnegative, got inf"),
+        ],
+        ids=["negative-c_pp", "nan-c_pp", "infinite-c_fringe"],
+    )
+    def test_rejects_input_out_of_range(self, args, message):
+        """The input at fault is named, not the sum it would give."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ground_to_body_capacitance(*args)
 
 
 class TestCalibrateCouplingConstant:

@@ -395,13 +395,18 @@ class TestDielectricTable:
         with pytest.raises(ValueError, match="outside table range"):
             body_capacitance_lookup(0.55, table)
 
-    def test_rejects_non_ascending_thickness(self):
-        with pytest.raises(ValueError, match="ascending"):
-            DielectricTable(((0.50, 100e-12), (0.30, 200e-12)))
-
-    def test_rejects_non_descending_capacitance(self):
-        with pytest.raises(ValueError, match="descending"):
-            DielectricTable(((0.30, 100e-12), (0.50, 200e-12)))
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ((), "^dielectric table needs at least one row$"),
+            (((0.50, 100e-12), (0.30, 200e-12)), "thickness column must be strictly ascending"),
+            (((0.30, 100e-12), (0.50, 200e-12)), "capacitance column must be strictly descending"),
+        ],
+        ids=["empty", "non-ascending-thickness", "non-descending-capacitance"],
+    )
+    def test_rejects_bad_rows(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            DielectricTable(rows)
 
     def test_shipped_table_anchor_row(self, config_dir):
         table = DielectricTable.from_csv(config_dir / "dielectric_cb.csv")
@@ -412,10 +417,21 @@ class TestDielectricTable:
         path.write_text("thickness_m,c_b_farads\n0.3,2e-10\n0.5,1e-10\n")
         assert DielectricTable.from_csv(path) == DielectricTable(self.ROWS)
 
-    def test_csv_rejects_bad_header(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("thickness,c_b\n0.3,2e-10\n", "expected header 'thickness_m,c_b_farads'"),
+            ("thickness_m,c_b_farads\n0.3,2e-10,1\n",
+             r"bad\.csv:2: expected two comma-separated columns$"),
+            ("thickness_m,c_b_farads\n0.3,2e-10\n0.5,none\n",
+             r"bad\.csv:3: could not convert string to float: 'none'$"),
+        ],
+        ids=["bad-header", "three-columns", "not-a-number"],
+    )
+    def test_csv_rejects_malformed_file(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
-        path.write_text("thickness,c_b\n0.3,2e-10\n")
-        with pytest.raises(ValueError, match="header"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
             DielectricTable.from_csv(path)
 
 
@@ -426,14 +442,22 @@ class TestDefaultGrid:
         assert grid[0] == pytest.approx(10e3, rel=1e-12)
         assert grid[-1] == pytest.approx(1e6, rel=1e-12)
 
-    def test_rejects_bad_span(self):
-        with pytest.raises(ValueError, match="f_min"):
-            default_frequency_grid(f_min=1e6, f_max=1e4)
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"f_min": 1e6, "f_max": 1e4}, "need f_min < f_max, got 1000000.0, 10000.0"),
+            ({"points": 2}, "points must be at least 3, got 2"),
+        ],
+        ids=["reversed-span", "two-points"],
+    )
+    def test_rejects_bad_span_or_points(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            default_frequency_grid(**kwargs)
 
     @pytest.mark.parametrize("points", [5, 2000])
     def test_rejects_infinite_f_max(self, points):
         """Rejected with no numpy warning and no inf points."""
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="^f_max must be positive, got inf$"):
             default_frequency_grid(1e4, math.inf, points)
 
     def test_returns_a_writable_array_of_its_own(self):

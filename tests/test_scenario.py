@@ -113,7 +113,9 @@ class TestShadowingProfile:
             ShadowingProfile("arm", ((0.0, 0.0), (1.0, 0.5)))
 
     def test_rejects_unknown_segment(self):
-        with pytest.raises(ValueError, match="segment"):
+        with pytest.raises(
+            ValueError, match=r"^segment must be one of \('arm', 'torso', 'custom'\), got 'leg'$"
+        ):
             ShadowingProfile("leg", ((0.0, 0.5), (1.0, 0.6)))
 
 

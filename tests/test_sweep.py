@@ -302,6 +302,31 @@ class TestCsvEmission:
         assert parsed.include_oracle
         assert parsed.oracle_ratio[0] == pytest.approx(result.oracle_ratio[0], rel=1e-11)
 
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (None, OSError, "cannot read sweep CSV from"),
+            (lambda lines: [], ValueError, "empty sweep CSV$"),
+            (lambda lines: ["voltage" + lines[0][len("separation_m"):], *lines[1:]],
+             ValueError, "unknown swept column 'voltage'$"),
+            (lambda lines: [lines[0] + ",extra", *lines[1:]], ValueError, "unexpected header"),
+            (lambda lines: [*lines[:-1], lines[-1].rpartition(",")[0]],
+             ValueError, r"row width 9 != header width 10$"),
+        ],
+        ids=["missing-file", "empty-file", "unknown-swept-column", "unexpected-header",
+             "short-row"],
+    )
+    def test_malformed_file_is_rejected(self, tmp_path, config_dir, edit, error, message):
+        base = load_config_file(config_dir / "separation_sweep.cfg").scenario
+        spec = SweepSpec(kind="separation", start=0.1, stop=0.2, steps=2, base=base)
+        path = tmp_path / "sweep.csv"
+        if edit is not None:
+            emit_csv(run_sweep(spec), path)
+            lines = edit(path.read_text().splitlines())
+            path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(error, match=message):
+            read_sweep_csv(path)
+
     def test_empty_destination_raises_io_error(self, config_dir):
         result = run_sweep(spec_from_config(config_dir / "separation_sweep.cfg"))
         with pytest.raises(OSError, match="cannot write sweep CSV"):

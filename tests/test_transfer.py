@@ -21,6 +21,7 @@ from hbc_channel import (
     ground_to_body_capacitance,
     plate_to_plate_capacitance,
     ratio_to_db,
+    relative_error,
     return_path_capacitance,
     rx_transfer_distant,
     simplified_transfer,
@@ -106,6 +107,10 @@ class TestExtractReturnPath:
     def test_rejects_out_of_range_ratio(self, v):
         with pytest.raises(ValueError, match="v_ratio"):
             extract_return_path(v, 150e-12)
+
+
+def test_relative_error_of_two_zeros_is_zero():
+    assert relative_error(0.0, 0.0) == 0.0
 
 
 class TestRxTransferDistant:
