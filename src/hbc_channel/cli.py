@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``hbc eval <config>`` - single-point transfer report (``--json`` for
-  machine output, ``--db`` to lead with losses, ``--dump-network`` for the
-  solver's branch list).
+  machine output, alone; ``--db`` to lead with losses, ``--dump-network`` for
+  the solver's branch list).
 * ``hbc sweep <config> --out <csv>`` - run the config's [sweep] section
   (``--oracle`` adds a nodal solve per row).
 * ``hbc resonance <config> [--out <csv>]`` - synthetic resonance extraction
@@ -28,6 +28,7 @@ from .config import (
     ConfigError,
     ParsedConfig,
     SweepSpec,
+    blame,
     body_capacitance,
     build_scenario,
     load_config_file,
@@ -102,6 +103,7 @@ def _build_parser() -> _Parser:
         "--dump-network", action="store_true",
         help="print the solver network branch list before the report",
     )
+    p_eval.set_defaults(parser=p_eval)  # for the usage error of --json with the others
 
     p_sweep = sub.add_parser("sweep", help="run the config's [sweep] section to CSV")
     p_sweep.add_argument("config", help="config file with a [sweep] section")
@@ -127,12 +129,14 @@ _PARSER = _build_parser()
 
 
 def _cmd_eval(args) -> int:
+    if args.json and (args.db or args.dump_network):  # the JSON payload is the whole of stdout
+        args.parser.error("argument --json: not allowed with --db or --dump-network")
     parsed = load_config_file(args.config)
     scenario = build_scenario(parsed.scenario)
     report = compare_closed_forms(scenario, parsed.scenario.frequency_hz)
 
     capacitances = {f"{name}_f": getattr(scenario, name) for name in CAPACITANCE_NAMES}
-    if args.dump_network and not args.json:
+    if args.dump_network:
         net = build_channel_network(scenario)
         print("network:")
         for line in net.dump().splitlines():
@@ -202,11 +206,10 @@ def _cmd_resonance(args) -> int:
         raise ConfigError(f"{parsed.path}: no [resonance] section")
     section = parsed.resonance
     c_b = _resonance_capacitance(parsed)
-    # Past the checks of the section and of C_B, the circuit has one error left.
-    try:
-        circuit = ResonanceCircuit(section.inductance_h, c_b, section.series_resistance_ohm)
-    except ValueError as exc:  # a resistance with no finite positive square
-        raise ConfigError(f"[resonance] series_resistance_ohm: {exc}") from exc
+    # Past the checks of the section and of C_B, the circuit has one error left:
+    # a resistance with no finite positive square.
+    circuit = blame("[resonance] series_resistance_ohm", ResonanceCircuit,
+                    section.inductance_h, c_b, section.series_resistance_ohm)
     grid = default_frequency_grid(section.f_min_hz, section.f_max_hz, section.points)
     try:
         recovered, f_r, sweep = extract_body_capacitance(circuit, grid)
@@ -238,10 +241,8 @@ def _cmd_resonance(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    try:
-        k = calibrate_coupling_constant(args.cc, args.d, args.area)
-    except ValueError as exc:  # the quotient k overflows or underflows
-        raise ConfigError(f"--cc, --d and --area: {exc}") from exc
+    # The ranges are argparse's: the quotient k can still overflow or underflow.
+    k = blame("--cc, --d and --area", calibrate_coupling_constant, args.cc, args.d, args.area)
     print(f"k_f_per_m = {k:.12g}")
     return EXIT_OK
 

@@ -9,7 +9,9 @@ row fails, and the error raised for the column as a whole says only that
 some row failed: its message formats values through :func:`shown`.  Rows are
 independent, so :func:`hbc_channel.sweep.run_sweep` finds the lowest failing
 row by halving and evaluates that row on its own, which raises that row's
-own error.
+own error.  The two piecewise-linear tables, the dielectric table and the
+shadowing profile, share one lookup rule, held here: :func:`anchor_columns`
+and :func:`lookup`.
 """
 
 from __future__ import annotations
@@ -63,3 +65,26 @@ def require(limits, name: str, value, error=ValueError) -> None:
     if ok is not True and not holds(ok):
         got = repr(value) if value.__class__ is str else shown(value, "")
         raise error(f"{name} must be {text}, got {got}")
+
+
+def anchor_columns(pairs, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The x and y columns of ``(x, y)`` pairs as read-only float arrays; x,
+    called ``name`` in the error, must ascend strictly."""
+    xs = [pair[0] for pair in pairs]  # a list: checks by numpy cost more on a few pairs
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValueError(f"{name} must be strictly ascending")
+    columns = np.array(xs, dtype=float), np.array([pair[1] for pair in pairs], dtype=float)
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
+def lookup(value, pairs, columns: tuple[np.ndarray, np.ndarray], outside: str):
+    """The piecewise-linear value at ``value`` (a column gives a column) of ``pairs``,
+    whose :func:`anchor_columns` are ``columns``; a NaN or a value outside their span
+    (no extrapolation) raises ValueError(``outside.format(shown value, low, high)``)."""
+    low, high = pairs[0][0], pairs[-1][0]  # floats: reading the columns costs more
+    if not holds((value >= low) & (value <= high)):
+        raise ValueError(outside.format(shown(value, ".6g"), low, high))
+    y = np.interp(value, *columns)
+    return y if isinstance(value, np.ndarray) else float(y)

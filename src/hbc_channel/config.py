@@ -82,6 +82,14 @@ class EqsRegimeWarning(UserWarning):
     """Configured frequency lies above the electro-quasistatic band."""
 
 
+def blame(keys: str, call, *args):
+    """``call(*args)``, its ValueError raised again as a ConfigError led by ``keys``."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}") from exc
+
+
 def _key(sections: str, limits=None, default=None, key: str | None = None):
     """A field read from the key ``key`` (default: its name) in each of ``sections``, within
     ``limits`` (``None``: the type it builds checks it); ``default=MISSING`` makes it required."""
@@ -136,11 +144,9 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         _check_ranges(self)
-        segment, anchors = self.segment or "custom", self.shadowing_anchors
-        try:  # the segment is checked: the anchors are at fault
-            profile = None if anchors is None else ShadowingProfile(segment, anchors)
-        except ValueError as exc:
-            raise ConfigError(f"[body] shadowing_anchors: {exc}") from exc
+        anchors = self.shadowing_anchors  # the segment is checked: the anchors are at fault
+        profile = None if anchors is None else blame(
+            "[body] shadowing_anchors", ShadowingProfile, self.segment or "custom", anchors)
         object.__setattr__(self, "shadowing_profile", profile)
 
 
@@ -202,10 +208,7 @@ class SweepSpec:
         _, drive, pins = SWEEP_KINDS[self.kind]
         # Each range is an interval, so both ends within it put every row within it.
         for key, value in (("min", self.start), ("max", self.stop)):
-            try:
-                drive(self.base, value)
-            except ConfigError as exc:
-                raise ConfigError(f"[sweep] {key}: {exc}") from exc
+            blame(f"[sweep] {key}", drive, self.base, value)
         if self.kind in ("tx_position", "rx_position") and self.base.shadowing_profile is None:
             raise ConfigError("position sweeps need [body] shadowing_anchors (a shadowing profile)")
         conflicts = ", ".join(pin for pin in pins if _is_set(self.base, pin))
@@ -280,7 +283,8 @@ _PARSERS = {"str": lambda section, key, raw: raw, "int": _parse_int, "tuple": _p
 def _schema() -> tuple[dict[str, dict[str, tuple]], dict[str, tuple], dict[type, list]]:
     """Section -> key -> (parser, required, field), "[section] key" -> range, and
     config class -> the (side, field, "[section] key", range) it checks when made,
-    from `_key` fields; ``side`` names a ``ScenarioConfig``'s side that holds the key."""
+    from `_key` fields; ``side`` names a ``ScenarioConfig``'s side that holds the key.
+    A key that a side does not take (``[tx] load_f``) has a range no value lies in."""
     sections, limits, ranges = {}, {}, {}
     for cls in (SideConfig, ScenarioConfig, SweepSpec, ResonanceSection):
         for f in fields(cls):
@@ -293,6 +297,10 @@ def _schema() -> tuple[dict[str, dict[str, tuple]], dict[str, tuple], dict[type,
                     limits[name] = f.metadata["limits"]
                     holder = ScenarioConfig if side else cls
                     ranges.setdefault(holder, []).append((side, f.name, name, limits[name]))
+            for side in ("tx", "rx") if cls is SideConfig else ():
+                if side not in f.metadata["sections"]:
+                    unset = f"unset (not a [{side}] key)", lambda v: False
+                    ranges[ScenarioConfig].append((side, f.name, f"[{side}] {key}", unset))
     return sections, limits, ranges
 
 
@@ -437,12 +445,8 @@ def _device_geometry(side: SideConfig, name: str) -> DeviceGeometry | None:
 
 def _shadowing(side: SideConfig, name: str, profile: ShadowingProfile | None) -> float | None:
     """Shadowing fraction: direct value, profile lookup, or both (checked)."""
-    from_profile = None
-    if side.position_s is not None and profile is not None:
-        try:
-            from_profile = shadowing_factor(side.position_s, profile)
-        except ValueError as exc:
-            raise ConfigError(f"[{name}] position_s: {exc}") from exc
+    from_profile = None if side.position_s is None or profile is None else blame(
+        f"[{name}] position_s", shadowing_factor, side.position_s, profile)
     return _pick(f"[{name}] shadowing_x", side.shadowing_x, from_profile, None)
 
 
@@ -475,13 +479,10 @@ def body_capacitance(config: ScenarioConfig) -> float:
         ConfigError: On a thickness outside the table, a disagreeing
             ``[body] c_b_f``, or neither input.
     """
-    derived = None
-    if config.dielectric_thickness_m is not None:
-        table = load_dielectric_table(config)
-        try:
-            derived = body_capacitance_lookup(config.dielectric_thickness_m, table)
-        except ValueError as exc:
-            raise ConfigError(f"[body] dielectric_thickness_m: {exc}") from exc
+    thickness = config.dielectric_thickness_m
+    derived = None if thickness is None else blame(
+        "[body] dielectric_thickness_m", body_capacitance_lookup, thickness,
+        load_dielectric_table(config))
     return _pick(
         "[body] c_b_f", config.c_b_f, derived,
         "missing required parameter: [body] c_b_f, or dielectric_thickness_m "
@@ -521,12 +522,9 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
 
     # Ground-to-body capacitance of the receiver.
     c_f = config.rx.fringe_f
-    derived_gb = None
-    if rx_geom is not None and c_f is not None:
-        try:
-            derived_gb = ground_to_body_capacitance(plate_to_plate_capacitance(rx_geom), c_f)
-        except ValueError as exc:
-            raise ConfigError(f"[rx] radius_m, plate_separation_m and fringe_f: {exc}") from exc
+    derived_gb = None if rx_geom is None or c_f is None else blame(
+        "[rx] radius_m, plate_separation_m and fringe_f",
+        lambda: ground_to_body_capacitance(plate_to_plate_capacitance(rx_geom), c_f))
     c_gb_rx = _pick(
         "[rx] ground_body_f", config.rx.ground_body_f, derived_gb,
         "missing required parameter: [rx] ground_body_f, or radius_m plus "
@@ -547,14 +545,12 @@ def build_scenario(config: ScenarioConfig) -> ChannelScenario:
                 "missing required parameter: [tx] radius_m (needed for the "
                 "coupling capacitance plate area)"
             )
-        try:
-            # From decouple_m on, the body and environment shield the plates from
-            # each other: C_c is zero, though the law's checks still apply.
-            derived_cc = coupling_capacitance(tx_geom, separation, k) * (separation < decouple_m)
-        except ValueError as exc:
-            raise ConfigError(
-                f"[tx] radius_m, [link] k_f_per_m and the device separation: {exc}"
-            ) from exc
+        # From decouple_m on, the body and environment shield the plates from
+        # each other: C_c is zero, though the law's checks still apply.
+        derived_cc = blame(
+            "[tx] radius_m, [link] k_f_per_m and the device separation",
+            coupling_capacitance, tx_geom, separation, k,
+        ) * (separation < decouple_m)
     c_c = _pick(
         "[link] coupling_f", config.coupling_f, derived_cc,
         "missing required parameter: [link] coupling_f, or k_f_per_m plus a "

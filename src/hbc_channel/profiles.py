@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .columns import COORDINATE, FRACTION, holds, one_of, require, shown
+from .columns import COORDINATE, FRACTION, anchor_columns, lookup, one_of, require
 
 SEGMENT = one_of(("arm", "torso", "custom"))
 
@@ -39,13 +39,7 @@ class ShadowingProfile:
         for s, x in self.anchors:
             require(COORDINATE, "anchor coordinate", s)
             require(FRACTION, "anchor shadowing fraction", x)
-        coords = [a[0] for a in self.anchors]
-        if any(b <= a for a, b in zip(coords, coords[1:])):
-            raise ValueError("anchor coordinates must be strictly ascending")
-        columns = (np.array(coords, dtype=float), np.array([a[1] for a in self.anchors], dtype=float))
-        for column in columns:
-            column.setflags(write=False)
-        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "columns", anchor_columns(self.anchors, "anchor coordinates"))
 
 
 def shadowing_factor(s: float, profile: ShadowingProfile) -> float:
@@ -59,11 +53,5 @@ def shadowing_factor(s: float, profile: ShadowingProfile) -> float:
         ValueError: If s is NaN or outside the anchor range, which lies in
             [0, 1] (no extrapolation).
     """
-    low, high = profile.anchors[0][0], profile.anchors[-1][0]
-    if not holds((s >= low) & (s <= high)):
-        raise ValueError(
-            f"body coordinate {shown(s, '.6g')} outside profile anchor range "
-            f"[{low:.6g}, {high:.6g}]"
-        )
-    x = np.interp(s, *profile.columns)
-    return x if isinstance(s, np.ndarray) else float(x)
+    return lookup(s, profile.anchors, profile.columns,
+                  "body coordinate {} outside profile anchor range [{:.6g}, {:.6g}]")

@@ -11,7 +11,8 @@ shifts the resonant frequency only to second order (by CR^2/(2L) relative).
 
 A dielectric-thickness to body-capacitance table (the output of such
 extractions for a body standing on dielectric spacers of varying height)
-is held here as well, with piecewise-linear lookup.
+is held here as well; its piecewise-linear lookup follows the one rule of
+:func:`hbc_channel.columns.lookup`, which shadowing profiles share.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import functools
 import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .columns import POSITIVE, holds, require, shown
+from .columns import POSITIVE, anchor_columns, lookup, require
 
 DEFAULT_SERIES_RESISTANCE_OHM = 10.0
 DEFAULT_GRID_MIN_HZ = 10e3
@@ -284,10 +285,11 @@ class DielectricTable:
 
     Thickness rows must ascend strictly while capacitance descends strictly:
     a thinner dielectric brings the body closer to ground and raises the
-    capacitance.
+    capacitance.  ``columns`` holds the two as read-only arrays, made once.
     """
 
     rows: tuple[tuple[float, float], ...]
+    columns: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.rows) < 1:
@@ -295,22 +297,12 @@ class DielectricTable:
         for thickness, c_b in self.rows:
             require(POSITIVE, "table thickness", thickness)
             require(POSITIVE, "table capacitance", c_b)
-        thicknesses = [r[0] for r in self.rows]
-        capacitances = [r[1] for r in self.rows]
-        if any(b <= a for a, b in zip(thicknesses, thicknesses[1:])):
-            raise ValueError("table thickness column must be strictly ascending")
-        if any(b >= a for a, b in zip(capacitances, capacitances[1:])):
+        object.__setattr__(self, "columns", anchor_columns(self.rows, "table thickness column"))
+        if any(b[1] >= a[1] for a, b in zip(self.rows, self.rows[1:])):
             raise ValueError(
                 "table capacitance column must be strictly descending "
                 "(thinner dielectric means larger body capacitance)"
             )
-
-    @functools.cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The thickness and capacitance columns as read-only arrays, made once."""
-        thicknesses, capacitances = (np.array(column) for column in zip(*self.rows))
-        thicknesses.flags.writeable = capacitances.flags.writeable = False
-        return thicknesses, capacitances
 
     @classmethod
     def from_csv(cls, path: str | os.PathLike) -> "DielectricTable":
@@ -359,11 +351,6 @@ def body_capacitance_lookup(thickness: float, table: DielectricTable) -> float:
     table range are rejected rather than extrapolated.  A numpy column of
     thicknesses gives a column.
     """
-    low, high = table.rows[0][0], table.rows[-1][0]
-    if not holds((thickness >= low) & (thickness <= high)):
-        raise ValueError(
-            f"thickness {shown(thickness, '.6g')} m outside table range "
-            f"[{low:.6g}, {high:.6g}] m; extrapolation is not supported"
-        )
-    c_b = np.interp(thickness, *table.columns)
-    return c_b if isinstance(thickness, np.ndarray) else float(c_b)
+    return lookup(thickness, table.rows, table.columns,
+                  "thickness {} m outside table range [{:.6g}, {:.6g}] m; "
+                  "extrapolation is not supported")

@@ -278,6 +278,24 @@ class TestEval:
         assert "SRC 1 2 1" in proc.stdout
         assert "OUT 1 3" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "flags", [["--db"], ["--dump-network"], ["--db", "--dump-network"]],
+        ids=["db", "dump-network", "both"],
+    )
+    def test_json_with_db_or_dump_network_is_a_usage_error(self, capsys, flags):
+        """``--json`` prints the payload alone: pairing it with a flag that
+        changes the text report is a usage error naming the flags, exit 1,
+        with nothing on stdout."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", str(CONFIG_DIR / "default_direct.cfg"), "--json", *flags])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1
+        assert out == ""
+        assert err.startswith("usage: hbc eval ")
+        assert err.endswith(
+            "hbc eval: error: argument --json: not allowed with --db or --dump-network\n"
+        )
+
     def test_missing_config_exits_1(self):
         proc = run_cli("eval", "no_such_file.cfg")
         assert proc.returncode == 1

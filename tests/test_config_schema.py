@@ -244,3 +244,16 @@ def test_each_range_check_is_one_require_call():
             ) and any(_calls(call, "require") for s in node.body for call in ast.walk(s)):
                 found.append(f"{path.name}:{node.lineno}: holds(<range>[1](...)) fork")
     assert found == []
+
+
+def test_np_interp_is_called_in_one_place():
+    """The dielectric table and the shadowing profile interpolate by one rule,
+    ``columns.lookup``: ``np.interp`` is called nowhere else in ``src/``."""
+    found = [
+        path.name
+        for path in sorted((REPO_ROOT / "src" / "hbc_channel").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "interp"
+    ]
+    assert found == ["columns.py"]

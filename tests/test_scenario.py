@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from conftest import CONFIG_DIR
 from hbc_channel import (
     ConfigError,
+    DielectricTable,
+    body_capacitance_lookup,
     EqsRegimeWarning,
     ShadowingProfile,
     build_scenario,
@@ -82,9 +84,24 @@ class TestShadowingProfile:
         with pytest.raises(ValueError, match=r"outside profile anchor range \[0, 1\]"):
             shadowing_factor(1.5, ARM)
 
-    def test_interpolates_on_columns_made_once(self, monkeypatch):
-        profile = ShadowingProfile("arm", ((0.0, 0.2), (0.35, 0.45), (1.0, 0.8)))
-        coords, values = [0.0, 0.35, 1.0], [0.2, 0.45, 0.8]
+    @pytest.mark.parametrize(
+        "table, lookup, value, column",
+        [
+            (ShadowingProfile("arm", ((0.0, 0.2), (0.35, 0.45), (1.0, 0.8))), shadowing_factor,
+             0.3, np.linspace(0.0, 1.0, 41)),
+            (DielectricTable(((0.30, 200e-12), (0.35, 170e-12), (0.50, 100e-12))),
+             body_capacitance_lookup, 0.32, np.linspace(0.30, 0.50, 41)),
+        ],
+        ids=["profile", "dielectric-table"],
+    )
+    def test_interpolates_on_columns_made_once(self, monkeypatch, table, lookup, value, column):
+        """Both tables hold read-only columns made when the table is made, and
+        hand those same objects to ``np.interp``; floats and columns are
+        bit-identical to ``np.interp`` on the anchors."""
+        pairs = getattr(table, "anchors", None) or table.rows
+        xs, ys = [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+        columns = vars(table)["columns"]  # there before any lookup
+        assert not columns[0].flags.writeable and not columns[1].flags.writeable
         tables, interp = [], np.interp
 
         def recording_interp(s, xp, fp):
@@ -92,13 +109,12 @@ class TestShadowingProfile:
             return interp(s, xp, fp)
 
         monkeypatch.setattr(np, "interp", recording_interp)
-        column = np.linspace(0.0, 1.0, 41)
-        assert shadowing_factor(0.3, profile) == interp(0.3, coords, values)
-        assert shadowing_factor(column, profile).tobytes() == interp(column, coords, values).tobytes()
-        # Both calls interpolated on the profile's one pair of read-only columns.
-        assert tables[0][0] is tables[1][0] is profile.columns[0]
-        assert tables[0][1] is tables[1][1] is profile.columns[1]
-        assert not profile.columns[0].flags.writeable and not profile.columns[1].flags.writeable
+        result = lookup(value, table)
+        assert type(result) is float and result == interp(value, xs, ys)
+        assert lookup(column, table).tobytes() == interp(column, xs, ys).tobytes()
+        # Both calls interpolated on the table's one pair of read-only columns.
+        assert tables[0][0] is tables[1][0] is columns[0] is table.columns[0]
+        assert tables[0][1] is tables[1][1] is columns[1] is table.columns[1]
 
     def test_requires_two_anchors(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -117,6 +133,39 @@ class TestShadowingProfile:
             ValueError, match=r"^segment must be one of \('arm', 'torso', 'custom'\), got 'leg'$"
         ):
             ShadowingProfile("leg", ((0.0, 0.5), (1.0, 0.6)))
+
+
+@st.composite
+def tables_with_lookups(draw):
+    """A shadowing profile or a dielectric table on random ascending anchors,
+    its lookup, and its anchor span."""
+    if draw(st.booleans()):
+        xs = sorted(draw(st.sets(st.floats(0.0, 1.0), min_size=2, max_size=6)))
+        ys = draw(st.lists(st.floats(0.01, 1.0), min_size=len(xs), max_size=len(xs)))
+        table, lookup = ShadowingProfile("custom", tuple(zip(xs, ys))), shadowing_factor
+    else:
+        xs = sorted(draw(st.sets(st.floats(1e-3, 1.0), min_size=1, max_size=6)))
+        ys = sorted(draw(st.sets(st.floats(1e-12, 1e-9), min_size=len(xs), max_size=len(xs))))
+        table = DielectricTable(tuple(zip(xs, reversed(ys))))
+        lookup = body_capacitance_lookup
+    return table, lookup, xs[0], xs[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=tables_with_lookups(),
+    value=st.floats(-1.0, 2.0) | st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_lookups_reject_exactly_outside_the_anchor_span(drawn, value):
+    """Each lookup raises ValueError exactly for a value outside its anchors'
+    span, NaN included, as a float and as a column that holds it."""
+    table, lookup, low, high = drawn
+    for query in (value, np.array([low, value, high])):
+        if low <= value <= high:
+            lookup(query, table)
+        else:
+            with pytest.raises(ValueError, match="outside"):
+                lookup(query, table)
 
 
 class TestDirectConfig:
@@ -448,6 +497,24 @@ class TestProgrammaticConfig:
                 c_b_f=150.838e-12,
                 coupling_f=0.0,
             )
+
+    @pytest.mark.parametrize("key", ["fringe_f", "ground_body_f", "load_f"])
+    @pytest.mark.parametrize("value", [1e-12, -5.0, math.nan, math.inf])
+    def test_receiver_only_key_on_tx_is_rejected(self, key, value):
+        """A receiver-only key set on ``tx`` is rejected naming ``[tx] <key>``,
+        as a file's ``[tx]`` section rejects it, by the constructor and by
+        ``replace``; it is never silently ignored."""
+        side = replace(DIRECT_CONFIG.tx, **{key: value})
+        message = f"^{re.escape(f'[tx] {key} must be unset (not a [tx] key), got {value!r}')}$"
+        for make in (lambda: replace(DIRECT_CONFIG, tx=side),
+                     lambda: ScenarioConfig(tx=side, rx=DIRECT_CONFIG.rx, c_b_f=150.838e-12)):
+            with pytest.raises(ConfigError, match=message):
+                make()
+
+    def test_receiver_only_keys_on_tx_name_the_first(self):
+        tx = SideConfig(return_path_f=1e-12, load_f=-5.0, fringe_f=math.nan, ground_body_f=math.inf)
+        with pytest.raises(ConfigError, match=r"^\[tx\] fringe_f must be unset"):
+            replace(DIRECT_CONFIG, tx=tx)
 
     @pytest.mark.parametrize(
         "key, config",
