@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .columns import FRACTION, NONNEGATIVE, POSITIVE, holds, require
+from .columns import FRACTION, NONNEGATIVE, POSITIVE, holds, require, shown
 from .constants import EPSILON_0
 
 # Largest radius whose plate area pi*a^2 is a finite float.
@@ -66,7 +66,7 @@ def _validated_capacitance(value: float, context: str) -> float:
     denormal tail.
     """
     if not holds(NONNEGATIVE[1](value)):
-        raise ValueError(f"{context} produced invalid capacitance {value}")
+        raise ValueError(f"{context} produced invalid capacitance {shown(value, '')}")
     if isinstance(value, np.ndarray):
         return np.where((value > 0) & (value < sys.float_info.min), 0.0, value)
     return 0.0 if 0 < value < sys.float_info.min else value

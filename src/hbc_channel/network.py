@@ -5,8 +5,10 @@ capacitive branches with one ideal voltage source and one output port.  The
 solver performs standard modified nodal analysis (dense LU with partial
 pivoting via numpy).  A capacitance-only network has a real transfer ratio
 that does not depend on frequency, so the solve is real and takes no
-frequency; it is an independent numerical oracle for every closed-form
-expression in :mod:`hbc_channel.transfer`.
+frequency.  It is the general solver that the numerical oracle of every
+closed form, :func:`hbc_channel.transfer.oracle_ratio`, is checked against
+bit for bit; the oracle assembles the channel's system straight from a
+scenario and shares this module's LU solve.
 
 Branch capacitances may be numpy columns of one length: the network is then a
 batch of networks of one topology, one per row, solved in one stacked call.
@@ -191,15 +193,11 @@ def solve_transfer(net: CapNetwork) -> TransferSolution:
         )
 
     m = net.node_count - 1  # the source current is unknown m
-    caps = [c for _, _, c in net.branches]
-    batch = next((c.shape for c in caps if isinstance(c, np.ndarray)), ())
-    c_ref = functools.reduce(np.maximum, caps) if batch else max(caps)
+    batch, zero, scaled = _scaled_by_largest([c for _, _, c in net.branches])
     # Entries are stamped as floats (columns in a batch) and become one array
     # at the end; a stamp makes a new value, so the shared zero stays zero.
-    zero = np.zeros(batch) if batch else 0.0
     a = [[zero] * (m + 1) for _ in range(m + 1)]
-    for i, j, c in net.branches:
-        b = c / c_ref
+    for (i, j, _), b in zip(net.branches, scaled):
         p, q = i - 1, j - 1
         if i:
             a[p][p] = a[p][p] + b
@@ -213,11 +211,32 @@ def solve_transfer(net: CapNetwork) -> TransferSolution:
     for node, sign in ((sp, 1.0), (sm, -1.0)):
         if node:
             a[node - 1][m] = a[m][node - 1] = zero + sign
+    potentials = [0.0, *_solve_nodal(a, batch)[:m]]
+    op, om = net.output
+    rows = np.stack(np.broadcast_arrays(*potentials), axis=-1) if batch else tuple(potentials)
+    return TransferSolution(ratio=potentials[op] - potentials[om], node_potentials=rows)
+
+
+def _scaled_by_largest(caps: list) -> tuple[tuple[int, ...], float | np.ndarray, list]:
+    """The batch shape of capacitances ``caps`` (``()`` for floats), a zero
+    entry of that shape, and each capacitance divided by the largest."""
+    batch = next((c.shape for c in caps if isinstance(c, np.ndarray)), ())
+    c_ref = functools.reduce(np.maximum, caps) if batch else max(caps)
+    return batch, (np.zeros(batch) if batch else 0.0), [c / c_ref for c in caps]
+
+
+def _solve_nodal(a: list, batch: tuple[int, ...]) -> list[float] | np.ndarray:
+    """The unknowns of the nodal system ``a`` (floats, or columns of shape
+    ``batch``), the unit source's current last: floats, or one column each.
+
+    Raises:
+        SingularNetworkError: If the system is singular or an unknown is not finite.
+    """
     a = np.array(a)
-    # One right-hand column per system: a stack of (m+1, 1) matrices is read
+    # One right-hand column per system: a stack of (n, 1) matrices is read
     # the same way by every numpy version.
-    rhs = np.zeros((m + 1, 1) + batch)
-    rhs[m, 0] = 1.0
+    rhs = np.zeros((len(a), 1) + batch)
+    rhs[-1, 0] = 1.0
     if batch:  # matrix axes last for the stacked solve
         a, rhs = (np.moveaxis(x, (0, 1), (-2, -1)) for x in (a, rhs))
 
@@ -226,16 +245,12 @@ def solve_transfer(net: CapNetwork) -> TransferSolution:
         solution = np.linalg.solve(a, rhs)[..., 0].T
     except np.linalg.LinAlgError as exc:
         raise SingularNetworkError(f"nodal system is singular: {exc}") from exc
-    op, om = net.output
     if batch:
         if not holds(np.isfinite(solution).all(axis=0)):
             raise SingularNetworkError("nodal system is numerically singular")
-        potentials = [0.0, *solution[:m]]
-        rows = np.stack(np.broadcast_arrays(*potentials), axis=-1)
-        return TransferSolution(ratio=potentials[op] - potentials[om], node_potentials=rows)
+        return solution
     # One system: the same doubles as Python floats, without numpy scalars.
     values = solution.tolist()
     if not all(map(math.isfinite, values)):
         raise SingularNetworkError("nodal system is numerically singular")
-    potentials = (0.0, *values[:m])
-    return TransferSolution(ratio=potentials[op] - potentials[om], node_potentials=potentials)
+    return values

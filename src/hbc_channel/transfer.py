@@ -43,7 +43,7 @@ from .geometry import (
     SEPARATION, DeviceGeometry, ground_to_body_capacitance, plate_to_plate_capacitance,
     return_path_capacitance,
 )
-from .network import build_channel_network, solve_transfer
+from .network import _scaled_by_largest, _solve_nodal
 
 # The range of a body potential ratio V_body/V_in that a return path gives.
 _BODY_RATIO = "in (0, 1)", lambda v: (v > 0.0) & (v < 1.0)
@@ -62,7 +62,7 @@ def _checked_ratio(numerator: float, denominator: float, context: str) -> float:
     # Positive inputs give a positive ratio unless the numerator underflowed.
     ratio = numerator / denominator
     if not holds(ratio > 0):
-        raise DegenerateScenarioError(f"{context}: ratio {ratio} is not positive")
+        raise DegenerateScenarioError(f"{context}: ratio {shown(ratio, '')} is not positive")
     return ratio
 
 
@@ -348,14 +348,32 @@ def regime_flags(s: ChannelScenario) -> tuple[str, ...]:
 def oracle_ratio(s: ChannelScenario) -> float:
     """Nodal-solution transfer ratio of a scenario (columns give one ratio per row).
 
+    The bits of ``solve_transfer(build_channel_network(s)).ratio``, from the
+    4x4 system assembled straight from the capacitances, each entry summed in
+    the network's branch order.  The floating-node walk cannot fire on a
+    checked scenario, so it is skipped (``TestChannelNetworkIsWellPosed`` in
+    ``tests/test_network.py``).
+
     Raises:
-        SingularNetworkError: Propagated from the nodal solve.
+        SingularNetworkError: If the nodal system is singular.
         DegenerateScenarioError: If the ratio is not positive, which only
             rounding in the solve gives for positive capacitances.
     """
-    ratio = solve_transfer(build_channel_network(s)).ratio
+    batch, zero, (b, tx, rx, load, gb, cc) = _scaled_by_largest(
+        [s.c_b, s.c_x_tx, s.c_x_rx, s.c_l, s.c_gb_rx, s.c_c])
+    one, minus = zero + 1.0, zero - 1.0
+    # Unknowns: the body, Tx ground and Rx ground potentials, then the source
+    # current.  A zero C_c adds exact zeros, as the network's absent branch does.
+    body_rx = 0.0 - load - gb
+    potentials = _solve_nodal([
+        [b + load + gb, zero, body_rx, one],
+        [zero, tx + cc, 0.0 - cc, minus],
+        [body_rx, 0.0 - cc, rx + load + gb + cc, zero],
+        [one, minus, zero, zero],
+    ], batch)
+    ratio = potentials[0] - potentials[2]
     if not holds(ratio > 0):
-        raise DegenerateScenarioError(f"oracle: nodal ratio {ratio} is not positive")
+        raise DegenerateScenarioError(f"oracle: nodal ratio {shown(ratio, '')} is not positive")
     return ratio
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_random_network, reference_channel_ratio
 from hbc_channel import (
     CapNetwork,
+    DegenerateScenarioError,
     SingularNetworkError,
     build_channel_network,
     full_transfer,
@@ -15,6 +16,7 @@ from hbc_channel import (
     solve_transfer,
     well_posedness_check,
 )
+from hbc_channel import network
 from hbc_channel.transfer import oracle_ratio
 
 DEFAULT_CAPS = dict(
@@ -303,6 +305,89 @@ class TestChannelNetworkIsWellPosed:
         net = build_channel_network(ChannelScenario(*map(np.array, zip(*rows))))
         assert len(net.branches) == 6
         assert well_posedness_check(net) == ()
+
+
+def ratio_bits(ratio):
+    """The IEEE bits of a float ratio, or a list of them for a column."""
+    return np.asarray(ratio, dtype=float).view(np.int64).tolist()
+
+
+def network_outcome(s):
+    """What ``oracle_ratio(s)`` must give, from the general solver: the ratio's
+    type and bits, or the error type and message."""
+    try:
+        ratio = solve_transfer(build_channel_network(s)).ratio
+    except SingularNetworkError as exc:
+        return SingularNetworkError, str(exc)
+    if not np.all(ratio > 0):
+        shown = "some row" if isinstance(ratio, np.ndarray) else ratio
+        return DegenerateScenarioError, f"oracle: nodal ratio {shown} is not positive"
+    return type(ratio), ratio_bits(ratio)
+
+
+def oracle_outcome(s):
+    try:
+        ratio = oracle_ratio(s)
+    except (SingularNetworkError, DegenerateScenarioError) as exc:
+        return type(exc), str(exc)
+    return type(ratio), ratio_bits(ratio)
+
+
+ROW = st.tuples(*[POSITIVE] * 5, COUPLING)
+
+
+class TestOracleMatchesGeneralSolverBitwise:
+    """``oracle_ratio`` assembles the channel's system straight from the
+    scenario; ``solve_transfer(build_channel_network(s))`` stamps the same
+    system branch by branch.  They agree on every checked scenario: the same
+    ratio bits, or the same error."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(caps=ROW)
+    @example(caps=(5e-324,) * 5 + (0.0,))
+    @example(caps=(1.7976931348623157e308,) * 5 + (5e-324,))
+    @example(caps=(1e-200, 1e-200, 3e-12, 1e-11, 1e-10, 0.0))  # the ratio underflows
+    def test_scalar_scenario(self, caps):
+        s = ChannelScenario(*caps)
+        assert oracle_outcome(s) == network_outcome(s)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(ROW, min_size=1, max_size=8))
+    @example(rows=[(1e-12,) * 5 + (0.0,), (1e-12,) * 5 + (1e-13,)])
+    def test_scenario_of_columns(self, rows):
+        s = ChannelScenario(*map(np.array, zip(*rows)))
+        assert oracle_outcome(s) == network_outcome(s)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(caps=ROW, swept=st.integers(0, 5), data=st.data())
+    def test_one_column_among_floats(self, caps, swept, data):
+        """As a sweep gives: the swept quantity is a column, the rest floats."""
+        values = st.lists(COUPLING if swept == 5 else POSITIVE, min_size=1, max_size=8)
+        caps = list(caps)
+        caps[swept] = np.array(data.draw(values))
+        s = ChannelScenario(*caps)
+        assert oracle_outcome(s) == network_outcome(s)
+
+
+def test_oracle_builds_no_network_and_walks_no_graph(monkeypatch):
+    """The oracle never builds a ``CapNetwork`` nor runs the floating-node
+    walk: with both made to raise, it still evaluates, to the same bits."""
+    scenarios = [
+        ChannelScenario(**DEFAULT_CAPS, c_c=60e-15),
+        ChannelScenario(**DEFAULT_CAPS, c_c=0.0),
+        ChannelScenario(**{k: np.full(3, v) for k, v in DEFAULT_CAPS.items()},
+                        c_c=np.array([0.0, 1e-15, 60e-15])),
+    ]
+    expected = [ratio_bits(oracle_ratio(s)) for s in scenarios]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not build or walk a network")
+
+    monkeypatch.setattr(network, "CapNetwork", forbidden)
+    monkeypatch.setattr(network, "well_posedness_check", forbidden)
+    with pytest.raises(AssertionError):
+        build_channel_network(scenarios[0])
+    assert [ratio_bits(oracle_ratio(s)) for s in scenarios] == expected
 
 
 def floating_reference(net):

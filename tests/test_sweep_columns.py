@@ -22,6 +22,7 @@ from hbc_channel import (
     ChannelScenario,
     ConfigError,
     DegenerateScenarioError,
+    DeviceGeometry,
     DielectricTable,
     ScenarioConfig,
     ShadowingProfile,
@@ -32,6 +33,7 @@ from hbc_channel import (
     build_channel_network,
     build_scenario,
     full_transfer,
+    plate_to_plate_capacitance,
     ratio_to_db,
     regime_flags,
     relative_error,
@@ -41,6 +43,7 @@ from hbc_channel import (
 )
 from hbc_channel.config import body_capacitance
 from hbc_channel.sweep import SWEEP_KINDS
+from hbc_channel.transfer import oracle_ratio
 
 TABLE = str(CONFIG_DIR / "dielectric_cb.csv")
 FIELDS = ("c_x_tx", "c_x_rx", "c_gb_rx", "c_l", "c_b", "c_c")
@@ -261,6 +264,11 @@ DIRECT_SIDES = dict(
 )
 
 
+def _overflow_ignored(function, *args):
+    with np.errstate(over="ignore"):
+        return function(*args)
+
+
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -281,9 +289,19 @@ DIRECT_SIDES = dict(
          ValueError),
         (lambda: ChannelScenario(1e-12, 1e-12, 1e-12, 1e-12, 1e-10, np.array([0.0, -1e-15])),
          ValueError),
+        # The numerator underflows to 0 on the middle row only.
+        (lambda: full_transfer(ChannelScenario(np.array([1e-12, 1e-300, 1e-12]), 1e-30, 3e-12,
+                                               1e-11, 1e-10, 0.0)), DegenerateScenarioError),
+        (lambda: oracle_ratio(ChannelScenario(np.array([1e-12, 1e-200]), 1e-200, 3e-12, 1e-11,
+                                              1e-10, 0.0)), DegenerateScenarioError),
+        # eps0*pi*a^2/t overflows on the second row; run_sweep evaluates
+        # columns with numpy's overflow warning off, and so does this call.
+        (lambda: _overflow_ignored(plate_to_plate_capacitance,
+                                   DeviceGeometry(np.array([0.03, 1e150]), 1e-300)), ValueError),
     ],
     ids=["checked-ratio", "pick", "separation", "shadowing", "shadowing-outside-unit",
-         "table-lookup", "table-lookup-inf", "positive", "nonnegative"],
+         "table-lookup", "table-lookup-inf", "positive", "nonnegative",
+         "checked-ratio-underflow", "oracle-ratio", "law-overflow"],
 )
 def test_failing_column_raises_documented_error(call, error):
     """A check that fails on a column passed straight to a model function
