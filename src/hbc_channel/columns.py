@@ -54,6 +54,13 @@ def one_of(names: tuple[str, ...]):
     return f"one of {names}", lambda v: v in names
 
 
+def integer_at_least(least: int):
+    """The range of a count: a Python or numpy integer of at least ``least``
+    (a float fails, whole or not: numpy takes no float as a count)."""
+    return (f"an integer of at least {least}",
+            lambda v: isinstance(v, (int, np.integer)) and v >= least)
+
+
 def require(limits, name: str, value, error=ValueError) -> None:
     """Raise ``error`` unless ``value`` lies in the range ``limits``.
 

@@ -45,7 +45,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .columns import COORDINATE, FRACTION, NONNEGATIVE, POSITIVE, fails, one_of, require, shown
+from .columns import (
+    COORDINATE, FRACTION, NONNEGATIVE, POSITIVE, fails, integer_at_least, one_of, require, shown,
+)
 from .constants import DECOUPLING_DISTANCE_M, DEFAULT_FREQUENCY_HZ, EQS_MAX_FREQUENCY_HZ
 from .geometry import (
     RADIUS,
@@ -197,7 +199,7 @@ class SweepSpec:
     kind: str = _key("sweep", one_of(tuple(sorted(SWEEP_KINDS))), MISSING)
     start: float = _key("sweep", NONNEGATIVE, MISSING, key="min")
     stop: float = _key("sweep", POSITIVE, MISSING, key="max")
-    steps: int = _key("sweep", ("at least 2", lambda v: v >= 2), MISSING)
+    steps: int = _key("sweep", integer_at_least(2), MISSING)
     base: ScenarioConfig
     include_oracle: bool = False
 

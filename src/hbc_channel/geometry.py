@@ -63,7 +63,10 @@ def _validated_capacitance(value: float, context: str) -> float:
     """Clamp a computed capacitance to a finite nonnegative float.
 
     Subnormals are flushed to zero so downstream ratios never divide by a
-    denormal tail.
+    denormal tail.  A law whose value can overflow computes a column under
+    ``np.errstate(over="ignore")``, so that the overflow reaches this check
+    as a quiet inf, as it does on floats, whose arithmetic never warns; the
+    float path takes no errstate, which every scenario build would pay for.
     """
     if not holds(NONNEGATIVE[1](value)):
         raise ValueError(f"{context} produced invalid capacitance {shown(value, '')}")
@@ -77,7 +80,12 @@ def plate_to_plate_capacitance(geom: DeviceGeometry) -> float:
 
     ``C_PP = eps0 * pi * a^2 / t`` with t the plate separation.
     """
-    value = EPSILON_0 * geom.plate_area / geom.thickness_t
+    area, t = geom.plate_area, geom.thickness_t
+    if isinstance(area, np.ndarray) or isinstance(t, np.ndarray):
+        with np.errstate(over="ignore"):
+            value = EPSILON_0 * area / t
+    else:
+        value = EPSILON_0 * area / t
     return _validated_capacitance(value, "plate_to_plate_capacitance")
 
 
@@ -113,7 +121,12 @@ def coupling_capacitance(geom: DeviceGeometry, d: float, k: float) -> float:
     """
     require(SEPARATION, "device separation d", d)
     require(POSITIVE, "k", k)
-    value = k * geom.plate_area / d
+    area = geom.plate_area
+    if isinstance(area, np.ndarray) or isinstance(d, np.ndarray) or isinstance(k, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf/inf at d = inf
+            value = k * area / d
+    else:
+        value = k * area / d
     return _validated_capacitance(value, "coupling_capacitance")
 
 
@@ -125,7 +138,12 @@ def ground_to_body_capacitance(c_pp: float, c_fringe: float) -> float:
     """
     require(NONNEGATIVE, "c_pp", c_pp)
     require(NONNEGATIVE, "c_fringe", c_fringe)
-    return _validated_capacitance(c_pp + c_fringe, "ground_to_body_capacitance")
+    if isinstance(c_pp, np.ndarray) or isinstance(c_fringe, np.ndarray):
+        with np.errstate(over="ignore"):
+            value = c_pp + c_fringe
+    else:
+        value = c_pp + c_fringe
+    return _validated_capacitance(value, "ground_to_body_capacitance")
 
 
 def calibrate_coupling_constant(c_c_ref: float, d_ref: float, area_ref: float) -> float:

@@ -9,6 +9,13 @@ The ideal LC circuit has an unbounded peak, so a small series resistance
 (default 10 ohm) is included purely to keep the peak finite and findable; it
 shifts the resonant frequency only to second order (by CR^2/(2L) relative).
 
+The default analysis grid and its angular frequencies 2*pi*f are built once,
+at import, and shared read-only: a sweep on that grid holds it, uncopied.
+The response is computed in place, each step the IEEE operation of the plain
+formula on the same operands, so every magnitude keeps its bits on any grid,
+and the peak is refined on Python floats.  Every sweep is still checked by
+:class:`FrequencySweep`, the shared-grid ones included.
+
 A dielectric-thickness to body-capacitance table (the output of such
 extractions for a body standing on dielectric spacers of varying height)
 is held here as well; its piecewise-linear lookup follows the one rule of
@@ -25,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .columns import POSITIVE, anchor_columns, lookup, require
+from .columns import POSITIVE, anchor_columns, integer_at_least, lookup, require
 
 DEFAULT_SERIES_RESISTANCE_OHM = 10.0
 DEFAULT_GRID_MIN_HZ = 10e3
@@ -37,7 +44,7 @@ MAX_FREQUENCY_HZ = 1e153
 # The ranges of a resonant frequency and of a grid's number of points.
 FREQUENCY = (f"positive and at most the {MAX_FREQUENCY_HZ:.6g} Hz limit",
              lambda v: (v > 0.0) & (v <= MAX_FREQUENCY_HZ))
-GRID_POINTS = "at least 3", lambda v: v >= 3
+GRID_POINTS = integer_at_least(3)
 # Largest accepted 2*(x2 - x0)/x1 over the grid points (x0, x1, x2) around
 # the peak: since C is proportional to f_r**-2, it bounds the relative error
 # of the recovered capacitance.  The default grid gives 0.92 %.
@@ -98,7 +105,8 @@ class FrequencySweep:
 
     Every sweep is checked: the grid must be nonempty, strictly ascending
     and start above 0, and the magnitudes finite and nonnegative.
-    :func:`lc_response` gives read-only arrays of its own; any float
+    :func:`lc_response` gives read-only arrays: its magnitudes and a copy of
+    the caller's grid, or the shared default grid itself; any float
     sequences are accepted and held as given.
     """
 
@@ -143,19 +151,33 @@ def default_frequency_grid(
     return np.geomspace(f_min, f_max, points)
 
 
-# The default grid, built once and shared read-only by every extraction
-# that is given no grid of its own.
+# The default grid and its angular frequencies 2*pi*f, built once and shared
+# read-only by every extraction that is given no grid of its own.
 _DEFAULT_GRID = default_frequency_grid()
 _DEFAULT_GRID.flags.writeable = False
+_DEFAULT_OMEGA = 2.0 * math.pi * _DEFAULT_GRID
+_DEFAULT_OMEGA.flags.writeable = False
 
 
 def _response(circuit: ResonanceCircuit, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|V_C/V_src| and |R + jwL + 1/(jwC)|^2 at ``freqs``; an overflow is a quiet inf."""
+    """|V_C/V_src| and |R + jwL + 1/(jwC)|^2 at ``freqs``; an overflow is a quiet inf.
+
+    Worked in place on three new arrays.  Each step is an IEEE operation of
+    ``x_c / sqrt(R**2 + (w*L - x_c)**2)``, ``x_c = 1/(w*C)``, on the same
+    operands (numpy's ``**2`` is a square and the sum commutes), so every
+    value keeps its bits.
+    """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        w = 2.0 * math.pi * freqs
-        x_c = 1.0 / (w * circuit.capacitance_true)
-        impedance_sq = circuit.series_resistance**2 + (w * circuit.inductance - x_c) ** 2
-        return x_c / np.sqrt(impedance_sq), impedance_sq
+        w = _DEFAULT_OMEGA if freqs is _DEFAULT_GRID else 2.0 * math.pi * freqs
+        x_c = w * circuit.capacitance_true
+        np.divide(1.0, x_c, out=x_c)
+        impedance_sq = w * circuit.inductance
+        impedance_sq -= x_c
+        np.multiply(impedance_sq, impedance_sq, out=impedance_sq)
+        impedance_sq += circuit.series_resistance**2
+        magnitude = np.sqrt(impedance_sq)
+        np.divide(x_c, magnitude, out=magnitude)
+        return magnitude, impedance_sq
 
 
 def lc_response(circuit: ResonanceCircuit, grid) -> FrequencySweep:
@@ -166,7 +188,9 @@ def lc_response(circuit: ResonanceCircuit, grid) -> FrequencySweep:
     frequency (the inductor blocks), with the global maximum near the
     resonant frequency for small R.
     """
-    freqs = np.array(grid, dtype=float)  # a copy: the caller keeps its grid
+    # The shared grid is read-only already; any other grid is copied, so that
+    # the caller keeps its grid.
+    freqs = grid if grid is _DEFAULT_GRID else np.array(grid, dtype=float)
     if freqs.size == 0:
         raise ValueError("frequency grid is empty")
     magnitude, impedance_sq = _response(circuit, freqs)
@@ -223,22 +247,23 @@ def find_resonant_frequency(sweep: FrequencySweep) -> tuple[float, tuple[float, 
             f"sweep maximum at grid boundary ({sweep.frequencies[peak]:.6g} Hz); "
             "widen the frequency grid"
         )
-    # Python floats, so that x**2 below is libm pow for any sequence type.
-    x0, x1, x2 = map(float, sweep.frequencies[peak - 1 : peak + 2])
+    # Python floats, so that x**2 below is libm pow for any sequence type,
+    # and the fit is float arithmetic rather than numpy-scalar arithmetic.
+    x0, x1, x2 = np.asarray(sweep.frequencies[peak - 1 : peak + 2], dtype=float).tolist()
     if mags[peak - 1] <= 0 or mags[peak + 1] <= 0:
         return x1, (x0, x1, x2)
     if x2 > MAX_FREQUENCY_HZ:
         raise ValueError(
             f"peak at {x1:.6g} Hz lies above the {MAX_FREQUENCY_HZ:.6g} Hz frequency limit"
         )
-    y0, y1, y2 = np.log(mags[peak - 1 : peak + 2])
+    y0, y1, y2 = np.log(mags[peak - 1 : peak + 2]).tolist()
     denominator = y0 * (x1 - x2) + y1 * (x2 - x0) + y2 * (x0 - x1)
     if denominator <= 0:
         # Collinear or non-concave triple (e.g. a plateau edge): the grid
         # maximum is the best available estimate.
         return x1, (x0, x1, x2)
     numerator = y0 * (x1**2 - x2**2) + y1 * (x2**2 - x0**2) + y2 * (x0**2 - x1**2)
-    return float(0.5 * numerator / denominator), (x0, x1, x2)
+    return 0.5 * numerator / denominator, (x0, x1, x2)
 
 
 def capacitance_from_resonance(f_r: float, inductance: float) -> float:

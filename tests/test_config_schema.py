@@ -8,6 +8,7 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR, REPO_ROOT
@@ -19,8 +20,8 @@ OUT_OF_RANGE = {
     "nonnegative": ["-1"],
     "in (0, 1]": ["1.5", "-0.5", "0"],
     "in [0, 1]": ["1.5", "-0.5"],
-    "at least 2": ["1"],
-    "at least 3": ["2"],
+    "an integer of at least 2": ["1"],
+    "an integer of at least 3": ["2"],
     config._LIMITS["[tx] radius_m"][0]: ["-1", "0", "1e200"],
     config._LIMITS["[body] segment"][0]: ["leg"],
     config._LIMITS["[sweep] kind"][0]: ["voltage"],
@@ -103,6 +104,27 @@ def test_out_of_range_scenario_key_in_python_raises_when_made(name, text, value)
     for make in makes:
         with pytest.raises(ConfigError, match=message):
             make()
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, math.inf])
+def test_count_key_in_python_takes_only_an_integer(value):
+    """``[sweep] steps`` and ``[resonance] points`` built in Python with a
+    float, whole or not, fail their range check when made, before numpy
+    (which takes no float as a count) sees them; a numpy integer passes."""
+    parsed = config.load_config_file(CONFIG_DIR / "separation_sweep.cfg")
+
+    def sweep(steps):
+        return config.SweepSpec(**{**parsed.sweep, "steps": steps}, base=parsed.scenario)
+
+    def section(points):
+        return config.ResonanceSection(inductance_h=1e-3, points=points)
+
+    for name, make in (("[sweep] steps", sweep), ("[resonance] points", section)):
+        text = config._LIMITS[name][0]
+        message = f"^{re.escape(name)} must be {re.escape(text)}, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            make(value)
+        make(np.int64(3))
 
 
 # Sweep kind -> (sample config, its text edited to a base for that kind, the

@@ -134,6 +134,28 @@ def test_column_with_one_bad_row_names_no_array(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "call, law",
+    [
+        (lambda: plate_to_plate_capacitance(DeviceGeometry(np.array([0.03, 1e150]), 1e-300)),
+         "plate_to_plate_capacitance"),
+        # k*pi*a^2 overflows on the second row, and inf/inf at d = inf is NaN.
+        (lambda: coupling_capacitance(DeviceGeometry(np.array([0.03, 1e150]), 0.005),
+                                      np.array([0.1, math.inf]), 1e10), "coupling_capacitance"),
+        (lambda: ground_to_body_capacitance(np.array([1e-12, 1e308]), 1e308),
+         "ground_to_body_capacitance"),
+    ],
+    ids=["plate-to-plate", "coupling", "ground-to-body"],
+)
+def test_column_that_overflows_raises_the_checked_error(call, law):
+    """A column whose value overflows on one row raises the law's checked
+    error, as a float does, and not numpy's overflow warning first (an error
+    under the suite's warning filter)."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"{law} produced invalid capacitance some row"
+
+
 class TestCouplingCapacitance:
     def test_reference_60_femtofarad_point(self):
         """30 cm^2 plates 10 cm apart with the sample constant: ~60 fF."""

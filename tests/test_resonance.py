@@ -110,6 +110,34 @@ class TestLcResponse:
         assert not sweep.magnitudes.flags.writeable
         assert grid.flags.writeable
 
+    def test_sweep_on_the_shared_grid_holds_it_and_is_checked(self, monkeypatch):
+        """The shared read-only grid is not copied, and its sweep is checked
+        like any other."""
+        checked = []
+        check_grid = resonance._check_grid
+        monkeypatch.setattr(resonance, "_check_grid", lambda f: checked.append(f) or check_grid(f))
+        for sweep in (lc_response(REFERENCE, resonance._DEFAULT_GRID),
+                      extract_body_capacitance(REFERENCE)[2]):
+            assert sweep.frequencies is resonance._DEFAULT_GRID
+            assert not sweep.magnitudes.flags.writeable
+        assert len(checked) == 2
+        assert all(grid is resonance._DEFAULT_GRID for grid in checked)
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [ResonanceCircuit(1e300, 5e-324), ResonanceCircuit(1e-3, 1e-300)],
+        ids=["no-grid-resolves", "bracket-closely"],
+    )
+    def test_shared_grid_overflow_reads_as_an_explicit_grid(self, circuit):
+        """Both overflow errors read the same on the shared grid, whose
+        angular frequencies are built once, as on the same grid built anew."""
+        messages = []
+        for grid in (resonance._DEFAULT_GRID, np.geomspace(1e4, 1e6, 2000)):
+            with pytest.raises(ValueError, match="overflows on the frequency grid") as info:
+                lc_response(circuit, grid)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     @pytest.mark.parametrize(
         "circuit, grid, advice",
         [
@@ -275,6 +303,17 @@ class TestFindResonantFrequency:
                 tuple(sweep.frequencies.tolist()), tuple(sweep.magnitudes.tolist())
             )
             assert find_resonant_frequency(sweep) == find_resonant_frequency(as_tuples)
+
+    def test_returns_python_floats(self):
+        """f_r and the three bracket points are Python floats, on an array
+        sweep and on a tuple sweep, at a fitted peak and at a grid point."""
+        fitted = lc_response(REFERENCE, default_frequency_grid())
+        grid_point = FrequencySweep(np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, 0.5]))
+        for sweep in (fitted, grid_point):
+            for as_input in (np.array, tuple):
+                f_r, bracket = find_resonant_frequency(FrequencySweep(
+                    as_input(sweep.frequencies.tolist()), as_input(sweep.magnitudes.tolist())))
+                assert [type(x) for x in (f_r, *bracket)] == [float] * 4
 
     def test_peak_frequency_decreases_with_capacitance(self):
         grid = default_frequency_grid()
@@ -446,9 +485,11 @@ class TestDefaultGrid:
         "kwargs, message",
         [
             ({"f_min": 1e6, "f_max": 1e4}, "need f_min < f_max, got 1000000.0, 10000.0"),
-            ({"points": 2}, "points must be at least 3, got 2"),
+            ({"points": 2}, "points must be an integer of at least 3, got 2"),
+            ({"points": 3.5}, "points must be an integer of at least 3, got 3.5"),
+            ({"points": math.inf}, "points must be an integer of at least 3, got inf"),
         ],
-        ids=["reversed-span", "two-points"],
+        ids=["reversed-span", "two-points", "fractional-points", "infinite-points"],
     )
     def test_rejects_bad_span_or_points(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -479,6 +520,13 @@ class TestDefaultGrid:
         assert not grid.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             grid[0] = 1.0
+
+    def test_shared_angular_grid_is_read_only_and_exact(self):
+        omega = resonance._DEFAULT_OMEGA
+        assert bits(omega).tolist() == bits(2.0 * math.pi * resonance._DEFAULT_GRID).tolist()
+        assert not omega.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            omega[0] = 1.0
 
 
 def bits(values):

@@ -193,7 +193,9 @@ class TestSweepSpecValidation:
 
     def test_too_few_steps(self, config_dir):
         base = load_config_file(config_dir / "separation_sweep.cfg").scenario
-        with pytest.raises(ConfigError, match=r"\[sweep\] steps must be at least 2, got 1"):
+        with pytest.raises(
+            ConfigError, match=r"\[sweep\] steps must be an integer of at least 2, got 1"
+        ):
             SweepSpec(kind="separation", start=0.1, stop=1.0, steps=1, base=base)
 
     def test_swept_parameter_must_not_be_fixed(self, config_dir):

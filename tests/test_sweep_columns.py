@@ -264,11 +264,6 @@ DIRECT_SIDES = dict(
 )
 
 
-def _overflow_ignored(function, *args):
-    with np.errstate(over="ignore"):
-        return function(*args)
-
-
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -294,10 +289,9 @@ def _overflow_ignored(function, *args):
                                                1e-11, 1e-10, 0.0)), DegenerateScenarioError),
         (lambda: oracle_ratio(ChannelScenario(np.array([1e-12, 1e-200]), 1e-200, 3e-12, 1e-11,
                                               1e-10, 0.0)), DegenerateScenarioError),
-        # eps0*pi*a^2/t overflows on the second row; run_sweep evaluates
-        # columns with numpy's overflow warning off, and so does this call.
-        (lambda: _overflow_ignored(plate_to_plate_capacitance,
-                                   DeviceGeometry(np.array([0.03, 1e150]), 1e-300)), ValueError),
+        # eps0*pi*a^2/t overflows on the second row.
+        (lambda: plate_to_plate_capacitance(DeviceGeometry(np.array([0.03, 1e150]), 1e-300)),
+         ValueError),
     ],
     ids=["checked-ratio", "pick", "separation", "shadowing", "shadowing-outside-unit",
          "table-lookup", "table-lookup-inf", "positive", "nonnegative",
